@@ -16,7 +16,7 @@ def test_bench_table5_bounds(benchmark, spark):
         # Lemma 7.1 depth: rounds within a small multiple of log2 n
         assert r["ADG_rounds"] <= 4 * (r["log2(n)"] + 1)
         assert r["ADG_rounds"] <= r["DGR_rounds"]
-        # O(m) work proxy: each vertex batched exactly once
-        assert r["ADG_work_proxy"] == r["n"]
+        # O(m) work proxy: elements read by the degree updates, linear in m+n
+        assert r["ADG_work_proxy"] <= 4 * (r["m"] + r["n"])
         # (2+eps) approximation quality
         assert r["max_later_nbrs"] <= math.ceil(r["(2+2eps)*d"])

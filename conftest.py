@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -83,3 +84,25 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+_JOB_GROUPS = itertools.count()
+
+
+@pytest.fixture
+def count_jobs(spark):
+    """``count_jobs(fn)`` -> (fn(), number of Spark jobs fn launched)."""
+    sc = spark.sparkContext
+
+    def run(fn):
+        group = f"count-jobs-{next(_JOB_GROUPS)}"
+        sc.setJobGroup(group, group)
+        try:
+            out = fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # Job-start events reach the status tracker asynchronously.
+        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
+        return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return run

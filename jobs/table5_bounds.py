@@ -5,7 +5,10 @@ predictions are observable (paper §7, Lemma 7.1):
 
 * ADG depth: #rounds = O(log n) for fixed ε → measured rounds should
   grow ~linearly in log2(n) while exact peeling rounds grow faster;
-* ADG work: O(m) → each vertex batched exactly once (work proxy = n);
+* ADG work: O(m) → the set elements the per-round degree updates read,
+  Σ over rounds of (Σ live |N(v)| + |batch|), stays within a constant
+  multiple of m+n (the benchmark gates it at 4·(m+n); a per-round
+  recomputation of every degree would read O(m·rounds));
 * approximation quality: max #later-ranked neighbours ≤ (2+2ε)·d.
 
 One row per graph size over an ER family with constant average degree.
@@ -56,6 +59,8 @@ def run(spark: SparkSession, sf: float = 1.0, sizes=(200, 400, 800, 1600),
                 "ADG_rounds": rec_adg.iterations,
                 "DGR_rounds": rec_dgr.iterations,
                 "ADG_work_proxy": rec_adg.set_elements_touched,
+                "work/(m+n)": round(rec_adg.set_elements_touched
+                                    / (g.num_vertices() + g.num_edges()), 2),
                 "degeneracy_d": d,
                 "max_later_nbrs": _later_bound(pdf, order),
                 "(2+2eps)*d": round((2 + 2 * eps) * d, 1),

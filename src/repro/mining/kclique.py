@@ -20,7 +20,9 @@ Strategies (§7.2's work/depth/space trade-off):
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+import math
+
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.core import sets
@@ -69,6 +71,34 @@ def _grow(frontier: DataFrame, odj: DataFrame) -> DataFrame:
     )
 
 
+def _observed(frontier: DataFrame) -> tuple[DataFrame, Observation]:
+    """``frontier`` with its Σ|cand| observed by whichever job computes it."""
+    obs = Observation()
+    return frontier.observe(obs, F.sum(F.size("cand")).alias("s")), obs
+
+
+def _cand_sum(frontier: DataFrame) -> int:
+    """Σ|C| over the frontier (Alg. 7 line 15), in one aggregation job."""
+    return int(frontier.agg(F.sum(F.size("cand"))).first()[0] or 0)
+
+
+def _record(rec: WorkDepthRecorder, levels: list[tuple[DataFrame, Observation]],
+            total: int) -> None:
+    """One round per grown level plus the final count; work is Σ|cand| of each.
+
+    The final aggregation's job fills the observations, so recording
+    launches no job of its own, except when the count is 0. Then some level
+    is empty, and adaptive execution may prune the levels below it, and
+    their observations, from the executed plan; each level is aggregated
+    again instead.
+    """
+    for frontier, obs in levels:
+        rec.round()
+        rec.touch(_cand_sum(frontier) if total == 0 else obs.get["s"])
+    rec.round()
+    rec.touch(total)
+
+
 def kclique_count(
     graph: Graph,
     k: int,
@@ -84,21 +114,18 @@ def kclique_count(
         return graph.num_vertices()
     if k == 2:
         return graph.num_edges()
-    rec = recorder or WorkDepthRecorder()
     order_df = resolve_order(graph, order, epsilon)
     odj = _oriented_adj(graph, order_df).localCheckpoint(eager=True)
     frontier, level = _frontier(odj, strategy)
+    levels = []
     while level < k - 1:
-        frontier = _grow(frontier, odj)
+        frontier, obs = _observed(_grow(frontier, odj))
+        levels.append((frontier, obs))
         level += 1
-        rec.round()
-        if recorder is not None:
-            touched = frontier.agg(F.sum(F.size("cand"))).first()[0]
-            rec.touch(int(touched or 0))
-    total = frontier.agg(F.sum(F.size("cand"))).first()[0]
-    rec.round()
-    rec.touch(int(total or 0))
-    return int(total or 0)
+    total = _cand_sum(frontier)
+    if recorder is not None:
+        _record(recorder, levels, total)
+    return total
 
 
 def kclique_count_naive(graph: Graph, k: int,
@@ -117,20 +144,15 @@ def kclique_count_naive(graph: Graph, k: int,
     frontier = adj.select(F.array("vertex").alias("members"),
                           F.col("out_nbrs").alias("cand"))
     level = 1
+    levels = []
     while level < k - 1:
-        frontier = _grow(frontier, adj)
+        frontier, obs = _observed(_grow(frontier, adj))
+        levels.append((frontier, obs))
         level += 1
-        if recorder is not None:
-            recorder.round()
-            touched = frontier.agg(F.sum(F.size("cand"))).first()[0]
-            recorder.touch(int(touched or 0))
-    total = frontier.agg(F.sum(F.size("cand"))).first()[0]
+    total = _cand_sum(frontier)
     if recorder is not None:
-        recorder.round()
-        recorder.touch(int(total or 0))
-    import math
-
-    return int(total or 0) // math.factorial(k)
+        _record(recorder, levels, total)
+    return total // math.factorial(k)
 
 
 def kclique_list(

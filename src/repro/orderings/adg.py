@@ -11,16 +11,16 @@ tests assert.
 
 Set-algebra view (5+): the per-round batch is R = {v ∈ U : deg_U(v) ≤
 (1+ε)δ̂_U}; U ← U ∖ R is a set difference; deg_U is a set cardinality.
-Here they are Catalyst joins/aggregations over the U DataFrame.
+ADG is a threshold rule over the shared engine in ``peel.py``, which
+runs the batch and the degree update as two Spark jobs per round.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
-from repro.orderings.degeneracy import _remaining_degrees
+from repro.orderings.peel import peel
 
 
 def adg_order(
@@ -36,48 +36,10 @@ def adg_order(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    rec = recorder or WorkDepthRecorder()
-    sym = graph.symmetric_edges().localCheckpoint(eager=True)
-    remaining = graph.adjacency().select("vertex").localCheckpoint(eager=True)
-    spark = graph.edges.sparkSession
-    out_batches: list[DataFrame] = []
-    next_rank = 0
-    while True:
-        degs = _remaining_degrees(sym, remaining).localCheckpoint(eager=True)
-        agg = degs.agg(F.sum("deg").alias("s"), F.count("*").alias("u")).first()
-        if not agg["u"]:
-            break
-        # δ̂_U = (Σ deg / 2) / |U|; threshold (1+ε)·δ̂_U compared against
-        # deg (paper compares |N_U(v)|/2 ≤ (1+ε)δ̂ with δ̂ = Σ(|N|/2)/|U|,
-        # i.e. the same inequality scaled by 2).
-        avg_half = (int(agg["s"]) / 2) / int(agg["u"])
-        thresh = (1 + epsilon) * avg_half
-        batch = degs.where(F.col("deg") / 2 <= F.lit(thresh)).select("vertex")
-        w = Window.orderBy(F.col("vertex").asc())
-        batch_ranked = (
-            batch.withColumn("rank", F.row_number().over(w) - 1 + F.lit(next_rank))
-            .select("vertex", F.col("rank").cast("long"))
-            .localCheckpoint(eager=True)
-        )
-        n_removed = batch_ranked.count()
-        if n_removed == 0:  # ε<0 impossible here; defensive against fp edge
-            batch_ranked = (
-                degs.orderBy("deg", "vertex").limit(1)
-                .select("vertex", F.lit(next_rank).cast("long").alias("rank"))
-                .localCheckpoint(eager=True)
-            )
-            n_removed = 1
-        rec.round()
-        rec.touch(n_removed)
-        out_batches.append(batch_ranked)
-        next_rank += n_removed
-        remaining = (
-            remaining.join(batch_ranked.select("vertex"), "vertex", "left_anti")
-            .localCheckpoint(eager=True)
-        )
-    if not out_batches:
-        return spark.createDataFrame([], "vertex long, rank long")
-    out = out_batches[0]
-    for b in out_batches[1:]:
-        out = out.unionByName(b)
-    return out.localCheckpoint(eager=True)
+
+    def threshold(lo: int, s: int, u: int) -> float:
+        # The paper removes v when |N_U(v)|/2 ≤ (1+ε)δ̂_U, δ̂_U = (Σ deg/2)/|U|;
+        # doubled, deg ≤ 2(1+ε)δ̂_U. Never below the min, so no batch is empty.
+        return max(2 * ((1 + epsilon) * ((s / 2) / u)), lo)
+
+    return peel(graph, threshold, recorder).select("vertex", "rank")

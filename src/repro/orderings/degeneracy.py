@@ -10,30 +10,17 @@ This is the Θ(n)-round-worst-case scheme the paper contrasts with ADG's
 O(log n) rounds; the round count is surfaced through a
 ``WorkDepthRecorder`` so Tables 5/6 can be validated empirically.
 
-Each round is one Spark job over the remaining-degrees DataFrame;
-``localCheckpoint`` truncates the lineage so plans do not grow linearly
-with rounds.
+DGR is the threshold rule k ← max(k, min live degree) over the peeling
+engine of ``peel.py``, which runs each round as two Spark jobs.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
-
-
-def _remaining_degrees(sym_edges: DataFrame, remaining: DataFrame) -> DataFrame:
-    """Degrees of ``remaining`` vertices inside their induced subgraph."""
-    e = (
-        sym_edges.join(remaining.withColumnRenamed("vertex", "src"), "src")
-        .join(remaining.withColumnRenamed("vertex", "dst"), "dst")
-    )
-    deg = e.groupBy(F.col("src").alias("vertex")).agg(F.count("*").alias("deg"))
-    return (
-        remaining.join(deg, "vertex", "left")
-        .select("vertex", F.coalesce("deg", F.lit(0)).alias("deg"))
-    )
+from repro.orderings.peel import peel
 
 
 def core_decomposition(
@@ -45,43 +32,15 @@ def core_decomposition(
     vertex ID); ``core`` is the exact k-core number. The graph
     degeneracy is ``max(core)``.
     """
-    rec = recorder or WorkDepthRecorder()
-    sym = graph.symmetric_edges().localCheckpoint(eager=True)
-    remaining = graph.adjacency().select("vertex").localCheckpoint(eager=True)
-    out_batches: list[DataFrame] = []
     k = 0
-    next_rank = 0
-    spark = graph.edges.sparkSession
-    while True:
-        degs = _remaining_degrees(sym, remaining)
-        degs = degs.localCheckpoint(eager=True)
-        min_deg = degs.agg(F.min("deg")).first()[0]
-        if min_deg is None:
-            break
-        k = max(k, int(min_deg))
-        batch = degs.where(F.col("deg") <= k).select("vertex")
-        w = Window.orderBy(F.col("vertex").asc())
-        batch_ranked = (
-            batch.withColumn("rank", F.row_number().over(w) - 1 + F.lit(next_rank))
-            .withColumn("core", F.lit(k))
-            .select("vertex", F.col("rank").cast("long"), F.col("core").cast("long"))
-            .localCheckpoint(eager=True)
-        )
-        n_removed = batch_ranked.count()
-        rec.round()
-        rec.touch(n_removed)
-        out_batches.append(batch_ranked)
-        next_rank += n_removed
-        remaining = (
-            remaining.join(batch_ranked.select("vertex"), "vertex", "left_anti")
-            .localCheckpoint(eager=True)
-        )
-    if not out_batches:
-        return spark.createDataFrame([], "vertex long, rank long, core long")
-    out = out_batches[0]
-    for b in out_batches[1:]:
-        out = out.unionByName(b)
-    return out.localCheckpoint(eager=True)
+
+    def level(lo: int, s: int, u: int) -> int:
+        nonlocal k
+        k = max(k, lo)  # never decreases: each batch's k is its core number
+        return k
+
+    out = peel(graph, level, recorder)
+    return out.select("vertex", "rank", F.col("level").cast("long").alias("core"))
 
 
 def degeneracy_order(

@@ -7,7 +7,8 @@ from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
 from repro.graphs.reference import ref_kclique_count
-from repro.mining.kclique import kclique_count, kclique_list
+from repro.mining.kclique import kclique_count, kclique_count_naive, kclique_list
+from repro.orderings.degeneracy import degeneracy_order
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +109,40 @@ def test_recorder_tracks_levels(er_graph):
     # levels: grow 3→4 plus the final count round (edge strategy starts at 2)
     assert rec.iterations == 3
     assert rec.set_elements_touched > 0
+
+
+def test_recorder_launches_no_extra_jobs(planted_graph, count_jobs):
+    """Recording observes each level inside the final aggregation's job.
+
+    Σ|cand| at a level lists every clique one vertex larger than the
+    members, so the recorded work is a sum of clique counts.
+    """
+    pdf, g = planted_graph
+    order = degeneracy_order(g).localCheckpoint(eager=True)
+    t3, t4, t5 = (ref_kclique_count(pdf, k) for k in (3, 4, 5))
+    rec = WorkDepthRecorder()
+    plain = count_jobs(lambda: kclique_count(g, 5, order=order, strategy="node"))
+    recorded = count_jobs(lambda: kclique_count(g, 5, order=order, strategy="node",
+                                                recorder=rec))
+    assert recorded == plain == (t5, plain[1])
+    # node frontier: levels 2, 3, 4 hold t3, t4, t5; the final count adds t5
+    assert (rec.iterations, rec.set_elements_touched) == (4, t3 + t4 + 2 * t5)
+
+    rec = WorkDepthRecorder()
+    plain = count_jobs(lambda: kclique_count_naive(g, 4))
+    recorded = count_jobs(lambda: kclique_count_naive(g, 4, recorder=rec))
+    assert recorded == plain == (t4, plain[1])
+    # unoriented: every clique is found once per vertex sequence
+    assert (rec.iterations, rec.set_elements_touched) == (3, 6 * t3 + 2 * 24 * t4)
+
+
+def test_recorder_when_a_level_is_empty(spark):
+    """No 4-clique: the upper levels are empty, yet every level is recorded."""
+    pdf = pd.DataFrame({"src": [0, 1, 0, 5], "dst": [1, 2, 2, 6]})  # triangle + edge
+    g = Graph.from_pandas(spark, pdf)
+    rec = WorkDepthRecorder()
+    assert kclique_count(g, 5, strategy="node", recorder=rec) == 0
+    assert (rec.iterations, rec.set_elements_touched) == (4, 1)  # the triangle
+    rec = WorkDepthRecorder()
+    assert kclique_count_naive(g, 5, recorder=rec) == 0
+    assert (rec.iterations, rec.set_elements_touched) == (4, 6)

@@ -5,6 +5,7 @@ exact core numbers (vs networkx), the degeneracy-ordering invariant
 (≤ d later neighbours), the ADG (2+ε) approximation property, and the
 O(log n)-vs-Θ(rounds) depth separation (Lemma 7.1 / Table 5).
 """
+import itertools
 import math
 
 import pandas as pd
@@ -174,9 +175,61 @@ def test_adg_fewer_rounds_than_exact_peeling(spark):
 
 
 def test_adg_work_proxy_linear(spark):
-    """ADG touches each vertex exactly once across batches (O(m+n) work)."""
+    """ADG's set differences read O(m+n) elements in total (Lemma 7.1).
+
+    Each round reads every live neighbourhood plus the batch. The first
+    round alone reads 2m and the batches sum to n; recomputing every
+    degree each round would read O(m·rounds).
+    """
     pdf = gen.erdos_renyi(100, 0.06, seed=10)
     g = Graph.from_pandas(spark, pdf)
     rec = WorkDepthRecorder()
     adg_order(g, epsilon=0.1, recorder=rec)
-    assert rec.set_elements_touched == g.num_vertices()
+    n, m = g.num_vertices(), g.num_edges()
+    assert 2 * m + n <= rec.set_elements_touched <= 4 * (m + n)
+
+
+@pytest.mark.parametrize("pdf", [
+    pd.DataFrame({"src": range(8), "dst": [(i + 1) % 8 for i in range(8)]}),
+    pd.DataFrame(list(itertools.combinations(range(6), 2)), columns=["src", "dst"]),
+], ids=["cycle", "clique"])
+def test_adg_eps0_regular_graph_one_round(spark, pdf):
+    """On a regular graph every degree equals the average: one batch."""
+    rec = WorkDepthRecorder()
+    order = _order_map(adg_order(Graph.from_pandas(spark, pdf), epsilon=0.0,
+                                 recorder=rec))
+    assert rec.iterations == 1
+    assert order == {v: v for v in order}  # one batch, ranked by vertex ID
+
+
+def test_path_core_numbers(spark):
+    pdf = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
+    got = {r["vertex"]: r["core"]
+           for r in core_decomposition(Graph.from_pandas(spark, pdf)).collect()}
+    assert got == ref_core_numbers(pdf)
+
+
+# ---------------- the shared peeling engine --------------------------------
+
+def test_peel_launches_at_most_two_jobs_per_round(spark, count_jobs):
+    g = Graph.from_pandas(spark, gen.barabasi_albert(120, 5, seed=1))
+    g.adjacency().count()  # the representation, built before the ordering
+    for order in (degeneracy_order, adg_order):
+        rec = WorkDepthRecorder()
+        _, jobs = count_jobs(lambda: order(g, recorder=rec))
+        assert jobs <= 2 * rec.iterations + 5, order.__name__
+
+
+def test_orderings_independent_of_shuffle_partitions(spark):
+    pdf = gen.barabasi_albert(120, 4, seed=8)
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for parts in ("1", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", parts)
+            g = Graph.from_pandas(spark, pdf)
+            got.append((sorted(core_decomposition(g).collect()),
+                        sorted(adg_order(g).collect())))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[0] == got[1]
