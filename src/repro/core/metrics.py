@@ -12,7 +12,7 @@ EXPERIMENTS.md are produced the same way everywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -23,7 +23,6 @@ class RunResult:
     runtime_s: float
     pattern_count: int
     preprocess_s: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def total_s(self) -> float:
@@ -42,7 +41,6 @@ class RunResult:
             "total_s": round(self.total_s, 3),
             "patterns": self.pattern_count,
             "throughput_per_s": round(self.throughput, 1),
-            **self.extra,
         }
 
 

@@ -12,10 +12,10 @@ Layer 2 — driver/worker-side set representations used inside Python
 kernels (Bron–Kerbosch, subgraph isomorphism run per-root via
 mapInPandas). Three implementations mirror the paper's SortedSet /
 RoaringSet / HashSet: ``SortedSet`` (sorted numpy arrays, merge-based
-ops — the CSR analog), ``BitmapSet`` (packed uint64 bitvector, bulk
-bitwise ops, O(1) add/remove — the roaring-bitmap analog), ``HashSet``
-(Python frozenset — Robin-Hood-hashtable analog). They share one
-interface so a kernel is parameterised by the class alone.
+ops — the CSR analog), ``BitmapSet`` (one Python int as a bitset, bulk
+bitwise ops and ``int.bit_count()`` — the roaring-bitmap analog),
+``HashSet`` (Python frozenset — Robin-Hood-hashtable analog). They share
+one interface so a kernel is parameterised by the class alone.
 """
 from __future__ import annotations
 
@@ -125,93 +125,73 @@ class SortedSet:
         return isinstance(other, SortedSet) and np.array_equal(self.a, other.a)
 
 
-# Byte-wise popcount table: numpy<2 has no bitwise_count ufunc.
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
-
-
 class BitmapSet:
-    """Dense packed-uint64 bitvector over a fixed universe [0, n).
+    """Bitset in one Python ``int``: element i is present iff bit i is set.
 
-    The roaring-bitmap analog: bulk ∩/∪/∖ are single vectorised bitwise
-    ops; add/remove are O(1) bit flips. Requires the universe size up
-    front (in BK kernels that is the root's neighbourhood size, so the
-    bitvectors are tiny — exactly the paper's subgraph optimisation).
+    The roaring-bitmap analog: bulk ∩/∪/∖ are single bitwise ops on an
+    arbitrary-precision int, |·| is ``int.bit_count()`` and add/remove
+    flip one bit. Elements are small non-negative ints; BK kernels
+    relabel each root's neighbourhood to 0..|N(v)|-1, so the ints stay
+    neighbourhood-sized (the paper's subgraph optimisation).
     """
 
-    __slots__ = ("bits", "n")
+    __slots__ = ("bits",)
 
-    def __init__(self, items=(), n: int | None = None):
-        items = list(items)
-        if n is None:
-            n = (max(items) + 1) if items else 1
-        self.n = n
-        self.bits = np.zeros((n + 63) // 64, dtype=np.uint64)
-        if items:
-            idx = np.asarray(items, dtype=np.int64)
-            np.bitwise_or.at(self.bits, idx // 64,
-                             np.uint64(1) << (idx % 64).astype(np.uint64))
+    def __init__(self, items=()):
+        bits = 0
+        for x in items:
+            bits |= 1 << int(x)
+        self.bits = bits
 
     @classmethod
-    def _wrap(cls, bits: np.ndarray, n: int) -> "BitmapSet":
+    def _wrap(cls, bits: int) -> "BitmapSet":
         s = cls.__new__(cls)
-        s.bits, s.n = bits, n
+        s.bits = bits
         return s
 
     def intersect(self, other: "BitmapSet") -> "BitmapSet":
-        return self._wrap(self.bits & other.bits, self.n)
+        return self._wrap(self.bits & other.bits)
 
     def intersect_count(self, other: "BitmapSet") -> int:
-        return _popcount(self.bits & other.bits)
+        return (self.bits & other.bits).bit_count()
 
     def diff(self, other: "BitmapSet") -> "BitmapSet":
-        return self._wrap(self.bits & ~other.bits, self.n)
+        return self._wrap(self.bits & ~other.bits)
 
     def union(self, other: "BitmapSet") -> "BitmapSet":
-        return self._wrap(self.bits | other.bits, self.n)
+        return self._wrap(self.bits | other.bits)
 
     def add(self, x: int) -> "BitmapSet":
-        b = self.bits.copy()
-        b[x // 64] |= np.uint64(1) << np.uint64(x % 64)
-        return self._wrap(b, self.n)
+        return self._wrap(self.bits | (1 << int(x)))
 
     def remove(self, x: int) -> "BitmapSet":
-        b = self.bits.copy()
-        b[x // 64] &= ~(np.uint64(1) << np.uint64(x % 64))
-        return self._wrap(b, self.n)
+        return self._wrap(self.bits & ~(1 << int(x)))
 
     def contains(self, x: int) -> bool:
-        return bool((self.bits[x // 64] >> np.uint64(x % 64)) & np.uint64(1))
+        return bool((self.bits >> int(x)) & 1)
 
     def cardinality(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def to_list(self) -> list[int]:
-        out = []
-        for w, word in enumerate(self.bits):
-            word = int(word)
-            base = w * 64
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return out
 
     def nbytes(self) -> int:
-        return int(self.bits.nbytes)
+        return (self.bits.bit_length() + 7) // 8
 
     def __iter__(self):
         return iter(self.to_list())
 
     def __bool__(self):
-        return bool(self.bits.any())
+        return self.bits != 0
 
     def __eq__(self, other):
-        return (isinstance(other, BitmapSet) and self.n == other.n
-                and np.array_equal(self.bits, other.bits))
+        return isinstance(other, BitmapSet) and self.bits == other.bits
 
 
 class HashSet:
@@ -270,22 +250,17 @@ class HashSet:
         return isinstance(other, HashSet) and self.s == other.s
 
 
-SET_REPRS = {"sorted": SortedSet, "hash": HashSet}
-# BitmapSet needs a universe size, so kernels construct it via
-# ``make_set_factory`` instead of the bare class.
+SET_REPRS = {"sorted": SortedSet, "bitmap": BitmapSet, "hash": HashSet}
 
 
 def make_set_factory(repr_name: str, universe: int):
     """Return ``items -> Set`` for the named representation.
 
-    The universe size only matters for ``bitmap``; the other factories
-    ignore it. This is the single point where a kernel picks its set
-    representation (paper's 5+ modularity).
+    ``universe`` no longer affects any representation: a ``BitmapSet``
+    int grows with its largest element. This is the single point where
+    a kernel picks its set representation (paper's 5+ modularity).
     """
-    if repr_name == "bitmap":
-        return lambda items=(): BitmapSet(items, n=universe)
-    if repr_name in SET_REPRS:
-        cls = SET_REPRS[repr_name]
-        return lambda items=(): cls(items)
-    raise ValueError(f"unknown set representation {repr_name!r}; "
-                     f"expected one of sorted|bitmap|hash")
+    if repr_name not in SET_REPRS:
+        raise ValueError(f"unknown set representation {repr_name!r}; "
+                         f"expected one of {'|'.join(SET_REPRS)}")
+    return SET_REPRS[repr_name]

@@ -16,7 +16,7 @@ gVisor/JVM, so machine-efficiency analysis is replaced by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -25,7 +25,6 @@ class WorkDepthRecorder:
 
     iterations: int = 0          # depth proxy: synchronous rounds
     set_elements_touched: int = 0  # work proxy: Σ operand sizes of set ops
-    notes: dict = field(default_factory=dict)
 
     def round(self) -> None:
         self.iterations += 1
@@ -37,5 +36,4 @@ class WorkDepthRecorder:
         return {
             "iterations(depth proxy)": self.iterations,
             "set_elements(work proxy)": self.set_elements_touched,
-            **self.notes,
         }

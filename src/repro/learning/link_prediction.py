@@ -22,10 +22,16 @@ from repro.learning.similarity import similarity
 
 def split_edges(graph: Graph, holdout_frac: float, seed: int = 0
                 ) -> tuple[Graph, DataFrame]:
-    """(sparse graph, held-out edges E_rndm) — disjoint, union = E."""
+    """(sparse graph, held-out edges E_rndm) — disjoint, union = E.
+
+    Each edge's draw is a hash of (src, dst, seed), so the split does not
+    depend on partition layout and ``held``/``sparse`` complement each
+    other however often they are evaluated.
+    """
     if not (0 < holdout_frac < 1):
         raise ValueError("holdout_frac must be in (0, 1)")
-    tagged = graph.edges.withColumn("r", F.rand(seed))
+    r = F.pmod(F.xxhash64("src", "dst", F.lit(seed)), F.lit(1 << 30)) / (1 << 30)
+    tagged = graph.edges.withColumn("r", r)
     held = tagged.where(F.col("r") < holdout_frac).drop("r")
     sparse = tagged.where(F.col("r") >= holdout_frac).drop("r")
     return Graph(sparse), held

@@ -19,7 +19,7 @@ paper's outermost parallel loop):
 4. Kernel recursion = BK-Pivot with Tomita pivoting
    (u = argmax |P ∩ N_H(u)| over P ∪ X), all set operations going
    through a pluggable set representation (5+): ``sorted`` numpy
-   arrays, ``bitmap`` packed bitvectors (roaring analog), ``hash``
+   arrays, ``bitmap`` Python-int bitsets (roaring analog), ``hash``
    frozensets.
 
 Every maximal clique is emitted exactly once, at its minimum-ranked
@@ -121,7 +121,7 @@ def _kernel_rows(pdf: pd.DataFrame, set_repr: str) -> Iterator[tuple[int, list[i
     for row in pdf.itertuples(index=False):
         root = int(row.root)
         s_nodes = [int(e["u"]) for e in row.adj_entries]
-        # relabel S → 0..|S|-1 so BitmapSet universes stay neighbourhood-sized
+        # relabel S → 0..|S|-1 so BitmapSet ints stay neighbourhood-sized
         # (the paper's subgraph optimisation is what makes bitmaps cheap)
         to_local = {u: i for i, u in enumerate(s_nodes)}
         factory = make_set_factory(set_repr, len(s_nodes) + 1)

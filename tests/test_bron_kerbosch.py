@@ -55,9 +55,20 @@ def test_all_orderings_match_networkx(er_graph, order):
     assert got == ref_maximal_cliques(pdf)
 
 
-@pytest.mark.parametrize("set_repr", ["sorted", "bitmap", "hash"])
-def test_all_set_reprs_match_networkx(er_graph, set_repr):
-    pdf, g = er_graph
+@pytest.fixture(scope="module")
+def wide_graph(spark):
+    """A 70-clique hub: root neighbourhoods are wider than one 64-bit word."""
+    pdf = gen.hub_clique(200, 70, 300, seed=25)
+    return pdf, Graph.from_pandas(spark, pdf)
+
+
+@pytest.mark.parametrize("set_repr,graph", [
+    *(pytest.param(r, "er_graph", id=r) for r in ("sorted", "bitmap", "hash")),
+    *(pytest.param(r, "wide_graph", id=f"{r}-wide")
+      for r in ("sorted", "bitmap", "hash")),
+])
+def test_all_set_reprs_match_networkx(request, set_repr, graph):
+    pdf, g = request.getfixturevalue(graph)
     got = _cliques(bk_maximal_cliques(g, order="adg", set_repr=set_repr))
     assert got == ref_maximal_cliques(pdf)
 

@@ -109,18 +109,3 @@ def test_table7_suite_members_generate(family):
     _assert_canonical(pdf)
     assert len(pdf) > 10
     assert isinstance(note, str) and note
-
-
-def test_synth_data_graph_edges_wrapper(spark):
-    from repro.synth_data import graph_edges
-
-    df = graph_edges(spark, family="er-uniform", sf=0.2, seed=1)
-    assert df.columns == ["src", "dst"]
-    assert df.count() > 10
-
-
-def test_synth_data_graph_edges_unknown_family(spark):
-    from repro.synth_data import graph_edges
-
-    with pytest.raises(ValueError):
-        graph_edges(spark, family="nope")

@@ -25,7 +25,7 @@ def lp_graph(spark):
     return pdf, Graph.from_pandas(spark, pdf)
 
 
-def test_split_partitions_edges(lp_graph):
+def test_split_partitions_edges(spark, lp_graph):
     pdf, g = lp_graph
     sparse, held = split_edges(g, 0.2, seed=1)
     m = g.num_edges()
@@ -33,6 +33,17 @@ def test_split_partitions_edges(lp_graph):
     # disjoint
     overlap = sparse.edges.join(held, ["src", "dst"]).count()
     assert overlap == 0
+    # independent of partition layout
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for parts in ("1", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", parts)
+            _, held = split_edges(Graph.from_pandas(spark, pdf), 0.2, seed=1)
+            got.append(sorted(held.collect()))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[0] == got[1]
 
 
 def test_split_rejects_bad_fraction(lp_graph):

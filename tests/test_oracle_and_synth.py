@@ -1,13 +1,12 @@
-"""Tests for the provided substrate: DuckDB oracle + tabular generators.
+"""Tests for the DuckDB oracle that the graph tests compare against.
 
-The graph reproduction leans on these (determinism of seeds, oracle
-semantics), so their contracts are pinned here.
+The graph reproduction leans on its semantics, so its contract is
+pinned here.
 """
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
@@ -36,31 +35,3 @@ def test_oracle_accepts_spark_inputs(spark):
     sdf = spark.createDataFrame(pdf)
     out = sdf.groupBy("k").agg(F.count("*").alias("c"))
     assert_equivalent(out, "SELECT k, count(*) AS c FROM t GROUP BY k", t=sdf)
-
-
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.001, seed=7).toPandas()
-    b = synth_data.lineitem(spark, sf=0.001, seed=7).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_lineitem_scale(spark):
-    df = synth_data.lineitem(spark, sf=0.001)
-    assert df.count() == 6000
-
-
-def test_orders_keys_contiguous(spark):
-    pdf = synth_data.orders(spark, sf=0.001).toPandas()
-    assert pdf["o_orderkey"].tolist() == list(range(1, len(pdf) + 1))
-
-
-def test_zipf_keys_skewed(spark):
-    pdf = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5).toPandas()
-    counts = pdf["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.mean()
-
-
-def test_uniform_keys_cover_range(spark):
-    pdf = synth_data.uniform_keys(spark, n=2000, n_keys=10).toPandas()
-    assert set(pdf["k"]) <= set(range(1, 11))
-    assert len(set(pdf["k"])) == 10

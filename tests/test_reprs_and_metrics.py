@@ -1,4 +1,4 @@
-"""Representation/compression sizing, metrics harness, pipeline, work-depth."""
+"""Representation/compression sizing, metrics harness, work-depth."""
 import math
 
 import pandas as pd
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.graph import Graph
 from repro.core.metrics import RunResult, print_table, run_timed
-from repro.core.pipeline import Pipeline
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
 from repro.reprs.layouts import compression_sizes, representation_sizes
@@ -131,39 +130,6 @@ def test_print_table_renders():
 
 def test_print_table_empty():
     assert "(no rows)" in print_table("t", [])
-
-
-# ----------------------------- pipeline -----------------------------------
-
-def test_pipeline_stages_run_in_order(spark):
-    pdf = gen.erdos_renyi(40, 0.1, seed=72)
-    calls = []
-
-    def load():
-        calls.append("load")
-        return Graph.from_pandas(spark, pdf)
-
-    def prep(g):
-        calls.append("prep")
-        from repro.orderings.degree import degree_order
-
-        return degree_order(g)
-
-    def kern(g, order):
-        calls.append("kernel")
-        from repro.mining.kclique import kclique_count
-
-        return kclique_count(g, 3, order=order)
-
-    p = Pipeline(spark=spark, load=load, preprocess=prep, kernel=kern,
-                 gather=lambda out: int(out))
-    out, times = p.run()
-    assert calls == ["load", "prep", "kernel"]
-    assert set(times) >= {"load+represent", "preprocess", "kernel", "gather"}
-    from repro.graphs.reference import ref_triangle_count
-
-    assert out == ref_triangle_count(pdf)
-    assert times["patterns"] == out
 
 
 # ----------------------------- work/depth recorder ------------------------

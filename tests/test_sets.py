@@ -99,7 +99,7 @@ def test_cross_representation_agreement():
 
 
 def test_bitmap_popcount_large_words():
-    s = BitmapSet(range(0, 130, 2), n=130)
+    s = BitmapSet(range(0, 130, 2))
     assert s.cardinality() == 65
     assert s.contains(128)
     assert not s.contains(127)
