@@ -14,11 +14,13 @@ sets N+(v) = {u ∈ N(v) : η(v) < η(u)} — the preprocessing step both
 k-clique listing (Alg. 7 line 9) and BK's outer split (Alg. 6 line 13)
 rely on.
 
-All methods return DataFrames so downstream algorithms stay in Catalyst
-until they must drop into a per-root Python kernel.
+All methods but ``collect_adjacency`` return DataFrames, so downstream
+algorithms stay in Catalyst until they must drop into a per-root Python
+kernel; that kernel reads the graph from ``collect_adjacency``, broadcast.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -69,12 +71,14 @@ class Graph:
     def num_edges(self) -> int:
         return self.edges.count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (
-            self.edges.where((F.col("src") == a) & (F.col("dst") == b)).limit(1).count()
-            > 0
-        )
+    def collect_adjacency(self) -> dict[int, np.ndarray]:
+        """{vertex: sorted int64 neighbour array} on the driver.
+
+        The paper's shared-memory graph: per-root kernels (BK, SI) read it
+        from a broadcast instead of joining neighbourhoods per root.
+        """
+        return {int(r["vertex"]): np.asarray(r["nbrs"], dtype=np.int64)
+                for r in self.adjacency().collect()}
 
     # -- pipeline stage 3: preprocessing hooks ---------------------------
 
@@ -109,15 +113,6 @@ class Graph:
                 F.coalesce("out_nbrs", F.array().cast("array<long>")).alias("out_nbrs"),
             )
         )
-
-    def induced(self, vertices: DataFrame) -> "Graph":
-        """Induced subgraph G[S]; ``vertices`` has a ``vertex`` column."""
-        v = vertices.select("vertex").distinct()
-        e = (
-            self.edges.join(v.withColumnRenamed("vertex", "src"), "src")
-            .join(v.withColumnRenamed("vertex", "dst"), "dst")
-        )
-        return Graph(e)
 
     # -- dataset statistics (Table 7 columns) ----------------------------
 

@@ -130,9 +130,10 @@ class BitmapSet:
 
     The roaring-bitmap analog: bulk ∩/∪/∖ are single bitwise ops on an
     arbitrary-precision int, |·| is ``int.bit_count()`` and add/remove
-    flip one bit. Elements are small non-negative ints; BK kernels
-    relabel each root's neighbourhood to 0..|N(v)|-1, so the ints stay
-    neighbourhood-sized (the paper's subgraph optimisation).
+    flip one bit. Elements are non-negative ints; with the paper's
+    subgraph optimisation BK relabels each root's neighbourhood to
+    0..|N(v)|-1, so the ints stay neighbourhood-sized, and without it
+    they are as wide as the largest vertex ID.
     """
 
     __slots__ = ("bits",)

@@ -9,13 +9,17 @@ paper's outermost parallel loop):
 2. For each root v: P = N+(v) (later-ranked neighbours), X = N−(v),
    R = {v} (Alg. 6 line 13 — the split *is* a set intersection with the
    rank-suffix, implemented by orientation).
-3. Per-root subproblem rows are shipped to a Python kernel
-   (``mapInPandas``) carrying a local adjacency over S = N(v):
-   * ``subgraph_opt=True`` (the ADG-S variant): adjacency restricted to
-     S — the precomputed subgraph H of Eppstein et al. used for pivot
-     selection *and* the P/X intersections (§6.2's "use H everywhere").
-   * ``subgraph_opt=False``: full neighbourhoods N(u) are shipped —
-     same results, more data movement (the paper's slower default).
+3. The root rows (root, P) go to a Python kernel (``mapInPandas``) that
+   reads the graph from a broadcast of ``Graph.collect_adjacency`` — the
+   paper's shared-memory graph, as for SI. Per root it takes S = N(v)
+   and X = S ∖ P, then:
+   * ``subgraph_opt=True`` (the ADG-S variant): relabels S to
+     0..|S|−1 and restricts every N(u) to S — the precomputed subgraph H
+     of Eppstein et al. used for pivot selection *and* the P/X
+     intersections (§6.2's "use H everywhere").
+   * ``subgraph_opt=False``: the sets hold global IDs and full
+     neighbourhoods N(u) (the paper's BK without H); bitmap ints are as
+     wide as the largest vertex ID.
 4. Kernel recursion = BK-Pivot with Tomita pivoting
    (u = argmax |P ∩ N_H(u)| over P ∪ X), all set operations going
    through a pluggable set representation (5+): ``sorted`` numpy
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -59,46 +64,6 @@ def resolve_order(graph: Graph, order: str | DataFrame, epsilon: float = 0.1
     return ORDERINGS[order](graph)
 
 
-def _subproblems(graph: Graph, order_df: DataFrame, subgraph_opt: bool) -> DataFrame:
-    """Per-root rows: (root, p, x, local adjacency entries for u ∈ N(root)).
-
-    ``adj_u``/``adj_nbrs`` arrive as exploded pairs and are regrouped to
-    a map in the kernel; with ``subgraph_opt`` each entry is
-    N(u) ∩ N(root) (the H subgraph), else the full N(u).
-    """
-    adj = graph.adjacency()
-    oriented = graph.oriented(order_df)  # (vertex, rank, out_nbrs)
-    roots = (
-        adj.join(oriented, "vertex")
-        .select(
-            F.col("vertex").alias("root"),
-            F.col("out_nbrs").alias("p"),
-            F.array_except("nbrs", "out_nbrs").alias("x"),
-            F.col("nbrs").alias("s"),
-        )
-    )
-    member = roots.select("root", "s", F.explode("s").alias("u"))
-    member = member.join(
-        adj.select(F.col("vertex").alias("u"), F.col("nbrs").alias("u_nbrs")), "u"
-    )
-    local = F.array_intersect("u_nbrs", "s") if subgraph_opt else F.col("u_nbrs")
-    entries = member.select("root", "u", local.alias("u_local"))
-    grouped = entries.groupBy("root").agg(
-        F.collect_list(F.struct("u", "u_local")).alias("adj_entries")
-    )
-    return (
-        roots.select("root", "p", "x")
-        .join(grouped, "root", "left")
-        .select(
-            "root", "p", "x",
-            F.coalesce(
-                "adj_entries",
-                F.array().cast("array<struct<u:long,u_local:array<long>>>"),
-            ).alias("adj_entries"),
-        )
-    )
-
-
 def _bk_pivot(P, R: list[int], X, adj, out: list[list[int]]) -> None:
     """Recursive BK-Pivot (Alg. 6 lines 18–28) over pluggable sets."""
     if not P and not X:
@@ -117,25 +82,24 @@ def _bk_pivot(P, R: list[int], X, adj, out: list[list[int]]) -> None:
         X = X.add(v)
 
 
-def _kernel_rows(pdf: pd.DataFrame, set_repr: str) -> Iterator[tuple[int, list[int]]]:
-    for row in pdf.itertuples(index=False):
-        root = int(row.root)
-        s_nodes = [int(e["u"]) for e in row.adj_entries]
-        # relabel S → 0..|S|-1 so BitmapSet ints stay neighbourhood-sized
-        # (the paper's subgraph optimisation is what makes bitmaps cheap)
-        to_local = {u: i for i, u in enumerate(s_nodes)}
-        factory = make_set_factory(set_repr, len(s_nodes) + 1)
-        adj = {}
-        for e in row.adj_entries:
-            u = to_local[int(e["u"])]
-            adj[u] = factory([to_local[int(w)] for w in e["u_local"] if int(w) in to_local])
-        P = factory([to_local[int(u)] for u in row.p])
-        X = factory([to_local[int(u)] for u in row.x])
-        out: list[list[int]] = []
-        _bk_pivot(P, [], X, adj, out)
-        back = {i: u for u, i in to_local.items()}
-        for clique in out:
-            yield root, sorted([root] + [back[i] for i in clique])
+def _root_cliques(root: int, p: np.ndarray, nbrs: dict[int, np.ndarray], make,
+                  subgraph_opt: bool) -> list[list[int]]:
+    """Maximal cliques emitted at ``root``: R = {root}, P = ``p``, X = N(root) ∖ P."""
+    s = nbrs[root]
+    in_p = np.isin(s, p, assume_unique=True)
+    if subgraph_opt:  # H: S relabelled to 0..|S|-1, every N(u) restricted to S
+        adj = {i: make(np.intersect1d(nbrs[u], s, assume_unique=True,
+                                      return_indices=True)[2])
+               for i, u in enumerate(s.tolist())}
+        P, X = make(np.flatnonzero(in_p)), make(np.flatnonzero(~in_p))
+    else:
+        adj = {u: make(nbrs[u]) for u in s.tolist()}
+        P, X = make(s[in_p]), make(s[~in_p])
+    out: list[list[int]] = []
+    _bk_pivot(P, [], X, adj, out)
+    if subgraph_opt:
+        out = [s[c].tolist() for c in out]
+    return [sorted([root, *c]) for c in out]
 
 
 def bk_maximal_cliques(
@@ -154,20 +118,26 @@ def bk_maximal_cliques(
     for the Fig. 8b scaling analysis.
     """
     order_df = resolve_order(graph, order, epsilon)
-    sub = _subproblems(graph, order_df, subgraph_opt)
+    roots = graph.oriented(order_df).select(
+        F.col("vertex").alias("root"), F.col("out_nbrs").alias("p"))
     if num_partitions is not None:
-        sub = sub.repartition(num_partitions)
+        roots = roots.repartition(num_partitions)
+    nbrs = graph.collect_adjacency()
+    make = make_set_factory(set_repr, max(nbrs) + 1)
+    shared = roots.sparkSession.sparkContext.broadcast(nbrs)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        nbrs = shared.value
         for pdf in batches:
-            rows = list(_kernel_rows(pdf, set_repr))
-            yield pd.DataFrame(
-                {"root": [r for r, _ in rows], "clique": [c for _, c in rows]}
-                if rows else {"root": pd.Series([], dtype="int64"),
-                              "clique": pd.Series([], dtype="object")}
-            )
+            found, cliques = [], []
+            for root, p in zip(pdf["root"].tolist(), pdf["p"]):
+                for c in _root_cliques(root, p, nbrs, make, subgraph_opt):
+                    found.append(root)
+                    cliques.append(c)
+            yield pd.DataFrame({"root": pd.Series(found, dtype="int64"),
+                                "clique": pd.Series(cliques, dtype="object")})
 
-    return sub.mapInPandas(run, schema="root long, clique array<long>")
+    return roots.mapInPandas(run, schema="root long, clique array<long>")
 
 
 def bk_count(graph: Graph, **kwargs) -> int:

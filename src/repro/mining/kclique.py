@@ -71,10 +71,20 @@ def _grow(frontier: DataFrame, odj: DataFrame) -> DataFrame:
     )
 
 
-def _observed(frontier: DataFrame) -> tuple[DataFrame, Observation]:
-    """``frontier`` with its Σ|cand| observed by whichever job computes it."""
-    obs = Observation()
-    return frontier.observe(obs, F.sum(F.size("cand")).alias("s")), obs
+def _grow_to(frontier: DataFrame, level: int, k: int, odj: DataFrame
+             ) -> tuple[DataFrame, list[tuple[DataFrame, Observation]]]:
+    """Grow a level-``level`` frontier to level k − 1.
+
+    Returns the last frontier and every grown level with its Σ|cand|
+    observed by whichever job computes it.
+    """
+    levels = []
+    while level < k - 1:
+        obs = Observation()
+        frontier = _grow(frontier, odj).observe(obs, F.sum(F.size("cand")).alias("s"))
+        levels.append((frontier, obs))
+        level += 1
+    return frontier, levels
 
 
 def _cand_sum(frontier: DataFrame) -> int:
@@ -82,21 +92,26 @@ def _cand_sum(frontier: DataFrame) -> int:
     return int(frontier.agg(F.sum(F.size("cand"))).first()[0] or 0)
 
 
-def _record(rec: WorkDepthRecorder, levels: list[tuple[DataFrame, Observation]],
-            total: int) -> None:
-    """One round per grown level plus the final count; work is Σ|cand| of each.
+def _count(frontier: DataFrame, level: int, k: int, odj: DataFrame,
+           rec: WorkDepthRecorder | None) -> int:
+    """Σ|C_k| from a level-``level`` frontier (Alg. 7 line 15).
 
-    The final aggregation's job fills the observations, so recording
-    launches no job of its own, except when the count is 0. Then some level
-    is empty, and adaptive execution may prune the levels below it, and
-    their observations, from the executed plan; each level is aggregated
-    again instead.
+    ``rec`` gets one round per grown level plus the final count; work is
+    Σ|cand| of each. The final aggregation's job fills the observations,
+    so recording launches no job of its own, except when the count is 0.
+    Then some level is empty, and adaptive execution may prune the levels
+    below it, and their observations, from the executed plan; each level
+    is aggregated again instead.
     """
-    for frontier, obs in levels:
+    frontier, levels = _grow_to(frontier, level, k, odj)
+    total = _cand_sum(frontier)
+    if rec is not None:
+        for f, obs in levels:
+            rec.round()
+            rec.touch(_cand_sum(f) if total == 0 else obs.get["s"])
         rec.round()
-        rec.touch(_cand_sum(frontier) if total == 0 else obs.get["s"])
-    rec.round()
-    rec.touch(total)
+        rec.touch(total)
+    return total
 
 
 def kclique_count(
@@ -116,16 +131,7 @@ def kclique_count(
         return graph.num_edges()
     order_df = resolve_order(graph, order, epsilon)
     odj = _oriented_adj(graph, order_df).localCheckpoint(eager=True)
-    frontier, level = _frontier(odj, strategy)
-    levels = []
-    while level < k - 1:
-        frontier, obs = _observed(_grow(frontier, odj))
-        levels.append((frontier, obs))
-        level += 1
-    total = _cand_sum(frontier)
-    if recorder is not None:
-        _record(recorder, levels, total)
-    return total
+    return _count(*_frontier(odj, strategy), k, odj, recorder)
 
 
 def kclique_count_naive(graph: Graph, k: int,
@@ -143,16 +149,7 @@ def kclique_count_naive(graph: Graph, k: int,
     adj = adj.localCheckpoint(eager=True)
     frontier = adj.select(F.array("vertex").alias("members"),
                           F.col("out_nbrs").alias("cand"))
-    level = 1
-    levels = []
-    while level < k - 1:
-        frontier, obs = _observed(_grow(frontier, adj))
-        levels.append((frontier, obs))
-        level += 1
-    total = _cand_sum(frontier)
-    if recorder is not None:
-        _record(recorder, levels, total)
-    return total // math.factorial(k)
+    return _count(frontier, 1, k, adj, recorder) // math.factorial(k)
 
 
 def kclique_list(
@@ -167,10 +164,7 @@ def kclique_list(
         raise ValueError("listing supported for k >= 3")
     order_df = resolve_order(graph, order, epsilon)
     odj = _oriented_adj(graph, order_df).localCheckpoint(eager=True)
-    frontier, level = _frontier(odj, strategy)
-    while level < k - 1:
-        frontier = _grow(frontier, odj)
-        level += 1
+    frontier, _ = _grow_to(*_frontier(odj, strategy), k, odj)
     return (
         frontier.select("members", F.explode("cand").alias("last"))
         .select(F.array_sort(F.concat("members", F.array("last"))).alias("members"))

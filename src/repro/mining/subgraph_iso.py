@@ -112,8 +112,7 @@ def si_count(
     qlab = {int(v): int(l) for v, l in
             query_labels[["vertex", "label"]].itertuples(index=False, name=None)}
     # collect + broadcast the target (the paper's shared-memory graph)
-    adj_rows = target.adjacency().collect()
-    tadj = {int(r["vertex"]): np.asarray(r["nbrs"], dtype=np.int64) for r in adj_rows}
+    tadj = target.collect_adjacency()
     tlab = {int(v): int(l) for v, l in
             target_labels[["vertex", "label"]].itertuples(index=False, name=None)}
     # label-only vertices (degree 0) still valid assignment targets

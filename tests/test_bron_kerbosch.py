@@ -141,5 +141,24 @@ def test_caveman_graph_all_variants_agree(spark):
     expected = ref_maximal_cliques(pdf)
     for order in ("none", "adg"):
         for sg in (False, True):
-            got = _cliques(bk_maximal_cliques(g, order=order, subgraph_opt=sg))
-            assert got == expected, (order, sg)
+            for set_repr in ("sorted", "bitmap", "hash"):
+                got = _cliques(bk_maximal_cliques(
+                    g, order=order, set_repr=set_repr, subgraph_opt=sg))
+                assert got == expected, (order, sg, set_repr)
+
+
+def test_independent_of_partitioning(spark, er_graph):
+    """Cliques and their roots do not depend on shuffle or kernel partitions."""
+    pdf, _ = er_graph
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for parts in ("1", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", parts)
+            g = Graph.from_pandas(spark, pdf)
+            for num_partitions in (None, 3):
+                rows = bk_maximal_cliques(g, num_partitions=num_partitions).collect()
+                got.append(sorted((r["root"], tuple(r["clique"])) for r in rows))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert all(rows == got[0] for rows in got[1:])

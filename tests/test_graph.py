@@ -56,12 +56,6 @@ def test_degrees_match_duckdb(spark, tri_graph):
     )
 
 
-def test_has_edge(tri_graph):
-    assert tri_graph.has_edge(0, 1)
-    assert tri_graph.has_edge(1, 0)
-    assert not tri_graph.has_edge(0, 3)
-
-
 def test_symmetric_edges_double(tri_graph):
     assert tri_graph.symmetric_edges().count() == 2 * tri_graph.num_edges()
 
@@ -85,12 +79,6 @@ def test_oriented_includes_sinks_with_empty_sets(tri_graph):
     out = tri_graph.oriented(degree_order(tri_graph))
     assert out.count() == tri_graph.num_vertices()
     assert sum(len(r["out_nbrs"]) for r in out.collect()) == tri_graph.num_edges()
-
-
-def test_induced_subgraph(tri_graph, spark):
-    sub = tri_graph.induced(spark.createDataFrame(pd.DataFrame({"vertex": [0, 1, 2]})))
-    rows = sorted(tuple(r) for r in sub.edges.collect())
-    assert rows == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_stats_on_known_graph(tri_graph, spark):
