@@ -1,4 +1,9 @@
-"""Import the job modules (jobs/ is not a package) for the benchmarks."""
+"""Import the job modules (jobs/ is not a package) for the benchmarks.
+
+A benchmark runs its job with ``job_kwargs``, the kwargs
+``jobs/run_all.py::JOBS`` gives it, so the benchmarks and the committed
+``results/`` share one configuration.
+"""
 import importlib.util
 import sys
 from pathlib import Path
@@ -13,3 +18,8 @@ def load_job(name: str):
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
     return mod
+
+
+def job_kwargs(name: str) -> dict:
+    """The kwargs ``jobs/run_all.py::JOBS`` passes to ``jobs/<name>.py``."""
+    return dict(load_job("run_all").JOBS)[name]

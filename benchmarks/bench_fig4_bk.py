@@ -1,12 +1,13 @@
 """Benchmark: Fig. 4/1 BK variant ablation (the paper's headline result)."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig4 = load_job("fig4_bk_variants")
 
 
 def test_bench_fig4_bk_variants(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig4.run(spark, sf=0.25), rounds=1, iterations=1
+        lambda: fig4.run(spark, **job_kwargs("fig4_bk_variants")),
+        rounds=1, iterations=1,
     )
     assert len(rows) == 5 * len(fig4.VARIANTS)
     # all variants agree on the number of maximal cliques per graph

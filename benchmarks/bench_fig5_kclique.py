@@ -1,12 +1,13 @@
 """Benchmark: Fig. 5 k-clique listing under DEG/DGR/ADG reorderings."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig5 = load_job("fig5_kclique")
 
 
 def test_bench_fig5_kclique(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig5.run(spark, sf=0.25, ks=(3, 4)), rounds=1, iterations=1
+        lambda: fig5.run(spark, **job_kwargs("fig5_kclique")),
+        rounds=1, iterations=1,
     )
     assert len(rows) == 2 * 2 * 3
     # counts must agree across orderings for each (graph, k)

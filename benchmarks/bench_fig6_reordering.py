@@ -1,12 +1,13 @@
 """Benchmark: Fig. 6 reordering analysis (DGR vs DEG vs ADG-ε)."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig6 = load_job("fig6_reordering")
 
 
 def test_bench_fig6_reordering(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig6.run(spark, sf=0.25), rounds=1, iterations=1
+        lambda: fig6.run(spark, **job_kwargs("fig6_reordering")),
+        rounds=1, iterations=1,
     )
     assert len(rows) == 5
     by = {r["variant"]: r for r in rows}

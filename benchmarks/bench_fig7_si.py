@@ -1,12 +1,13 @@
 """Benchmark: Fig. 7 subgraph isomorphism optimisation ablation."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig7 = load_job("fig7_subgraph_iso")
 
 
 def test_bench_fig7_subgraph_iso(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig7.run(spark, sf=1.0), rounds=1, iterations=1
+        lambda: fig7.run(spark, **job_kwargs("fig7_subgraph_iso")),
+        rounds=1, iterations=1,
     )
     abl = [r for r in rows if r["sweep"] == "ablation"]
     assert len(abl) == 4

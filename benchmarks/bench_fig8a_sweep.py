@@ -1,12 +1,12 @@
 """Benchmark: Fig. 8a Kronecker sparsity sweep (preprocess vs mine)."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig8a = load_job("fig8a_synthetic_sweep")
 
 
 def test_bench_fig8a_sweep(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig8a.run(spark, sf=1.0, scales=(8, 9), degrees=(1, 4, 16)),
+        lambda: fig8a.run(spark, **job_kwargs("fig8a_synthetic_sweep")),
         rounds=1, iterations=1,
     )
     assert len(rows) == 6

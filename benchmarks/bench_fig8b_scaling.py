@@ -1,12 +1,12 @@
 """Benchmark: Fig. 8b scaling / machine-efficiency analysis."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig8b = load_job("fig8b_scaling")
 
 
 def test_bench_fig8b_scaling(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig8b.run(spark, sf=0.5, partitions=(1, 4, 16)),
+        lambda: fig8b.run(spark, **job_kwargs("fig8b_scaling")),
         rounds=1, iterations=1,
     )
     assert len(rows) == 3

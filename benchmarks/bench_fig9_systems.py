@@ -1,12 +1,13 @@
 """Benchmark: Fig. 9 k-clique listing across system analogs."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 fig9 = load_job("fig9_kclique_systems")
 
 
 def test_bench_fig9_systems(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: fig9.run(spark, sf=0.5, ks=(4,)), rounds=1, iterations=1
+        lambda: fig9.run(spark, **job_kwargs("fig9_kclique_systems")),
+        rounds=1, iterations=1,
     )
     assert len(rows) == 2 * 4
     from collections import defaultdict

@@ -1,12 +1,13 @@
 """Benchmark: §8.6 higher-order structure subtleties."""
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 sec86 = load_job("sec86_higher_order")
 
 
 def test_bench_sec86_higher_order(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: sec86.run(spark, sf=0.5), rounds=1, iterations=1
+        lambda: sec86.run(spark, **job_kwargs("sec86_higher_order")),
+        rounds=1, iterations=1,
     )
     assert len(rows) == 2
     planted = next(r for r in rows if "planted" in r["graph"])

@@ -1,14 +1,14 @@
 """Benchmark: Tables 5/6 empirical work/depth-bound validation."""
 import math
 
-from benchmarks._jobs import load_job
+from benchmarks._jobs import job_kwargs, load_job
 
 table5 = load_job("table5_bounds")
 
 
 def test_bench_table5_bounds(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: table5.run(spark, sf=1.0, sizes=(200, 400, 800)),
+        lambda: table5.run(spark, **job_kwargs("table5_bounds")),
         rounds=1, iterations=1,
     )
     assert len(rows) == 3

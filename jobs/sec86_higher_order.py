@@ -27,7 +27,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
     rows = []
     for gname, pdf in graphs.items():
         g = Graph.from_pandas(spark, pdf)
-        s = g.stats(spark)
+        s = g.stats()
         res = run_timed(
             gname,
             kernel=lambda: kclique_count(g, 4, order="dgr"),

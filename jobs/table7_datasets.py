@@ -18,7 +18,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
     rows = []
     for name, (factory, note) in sorted(TABLE7_SUITE.items()):
         g = Graph.from_pandas(spark, factory(sf=sf))
-        s = g.stats(spark)
+        s = g.stats()
         rows.append(
             {
                 "graph": name,

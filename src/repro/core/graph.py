@@ -116,7 +116,7 @@ class Graph:
 
     # -- dataset statistics (Table 7 columns) ----------------------------
 
-    def stats(self, spark: SparkSession) -> dict:
+    def stats(self) -> dict:
         """n, m, m/n, max degree, T, T/n, max triangles/vertex (T-skew)."""
         from repro.mining.triangles import triangle_counts_per_vertex
 

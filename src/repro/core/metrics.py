@@ -58,8 +58,7 @@ def run_timed(name: str, kernel, preprocess=None, count=len) -> RunResult:
     t0 = time.perf_counter()
     out = kernel(prep_out) if preprocess is not None else kernel()
     runtime = time.perf_counter() - t0
-    n = count(out) if callable(count) else int(count)
-    return RunResult(name=name, runtime_s=runtime, pattern_count=n,
+    return RunResult(name=name, runtime_s=runtime, pattern_count=count(out),
                      preprocess_s=prep_s)
 
 

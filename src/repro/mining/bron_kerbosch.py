@@ -123,7 +123,8 @@ def bk_maximal_cliques(
     if num_partitions is not None:
         roots = roots.repartition(num_partitions)
     nbrs = graph.collect_adjacency()
-    make = make_set_factory(set_repr, max(nbrs) + 1)
+    # ``nbrs`` is empty on an edgeless graph
+    make = make_set_factory(set_repr, max(nbrs, default=-1) + 1)
     shared = roots.sparkSession.sparkContext.broadcast(nbrs)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

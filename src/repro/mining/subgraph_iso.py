@@ -48,18 +48,16 @@ def _plan(query_edges: pd.DataFrame, query_labels: pd.DataFrame) -> tuple[list[i
     return order, qadj
 
 
-def _search(order, qadj, qlab, tadj, tlab, tdeg, cand_sets, assignment,
-            induced, optimized):
-    """Complete a partial assignment (dict q→t); returns #completions."""
+def _extensions(order, qadj, tadj, cand_sets, assignment, induced, optimized
+                ) -> list[int]:
+    """Feasible targets for the next plan vertex under a partial assignment."""
     depth = len(assignment)
-    if depth == len(order):
-        return 1
     q = order[depth]
     placed_nbrs = [p for p in order[:depth] if p in qadj[q]]
     placed_non = [p for p in order[:depth] if p not in qadj[q]]
     used = set(assignment.values())
-
-    if optimized and placed_nbrs:
+    vectorised = optimized and bool(placed_nbrs)
+    if vectorised:
         # set-algebra candidate generation: ∩ of neighbour arrays of the
         # already-placed neighbours, then intersect the precomputed
         # label/degree candidate set (numpy merge intersections).
@@ -70,27 +68,38 @@ def _search(order, qadj, qlab, tadj, tlab, tdeg, cand_sets, assignment,
     else:
         cand = cand_sets[q]
 
-    total = 0
-    for t in cand:
-        t = int(t)
+    out = []
+    for t in cand.tolist():
         if t in used:
             continue
-        if not optimized or not placed_nbrs:
-            # VF2-style pairwise feasibility on query edges
-            if any(not _adjacent(tadj, assignment[p], t) for p in placed_nbrs):
-                continue
+        # VF2-style pairwise feasibility on query edges
+        if not vectorised and any(not _adjacent(tadj, assignment[p], t)
+                                  for p in placed_nbrs):
+            continue
         if induced and any(_adjacent(tadj, assignment[p], t) for p in placed_non):
             continue
+        out.append(t)
+    return out
+
+
+def _search(order, qadj, tadj, cand_sets, assignment, induced, optimized):
+    """Complete a partial assignment (dict q→t); returns #completions."""
+    if len(assignment) == len(order):
+        return 1
+    q = order[len(assignment)]
+    total = 0
+    for t in _extensions(order, qadj, tadj, cand_sets, assignment, induced,
+                         optimized):
         assignment[q] = t
-        total += _search(order, qadj, qlab, tadj, tlab, tdeg, cand_sets,
-                         assignment, induced, optimized)
+        total += _search(order, qadj, tadj, cand_sets, assignment, induced,
+                         optimized)
         del assignment[q]
     return total
 
 
 def _adjacent(tadj: dict[int, np.ndarray], a: int, b: int) -> bool:
     arr = tadj[a]
-    i = np.searchsorted(arr, b)
+    i = arr.searchsorted(b)  # the method skips np.searchsorted's dispatch
     return bool(i < arr.size and arr[i] == b)
 
 
@@ -118,54 +127,35 @@ def si_count(
     # label-only vertices (degree 0) still valid assignment targets
     for v in tlab:
         tadj.setdefault(v, np.empty(0, dtype=np.int64))
-    tdeg = {v: int(a.size) for v, a in tadj.items()}
 
     # precomputed candidate sets per query vertex: label match, and with
     # the optimisation also the degree lower bound
-    cand_sets = {}
-    all_vs = np.asarray(sorted(tadj), dtype=np.int64)
-    for q in order:
-        mask = [t for t in all_vs
-                if tlab.get(int(t), -1) == qlab[q]
-                and (not optimized or tdeg[int(t)] >= len(qadj[q]))]
-        cand_sets[q] = np.asarray(mask, dtype=np.int64)
+    cand_sets = {
+        q: np.asarray([t for t in sorted(tadj) if tlab.get(t, -1) == qlab[q]
+                       and (not optimized or tadj[t].size >= len(qadj[q]))],
+                      dtype=np.int64)
+        for q in order
+    }
 
-    # build root prefixes of length ``work_split``
-    q0 = order[0]
-    prefixes: list[tuple[int, ...]] = [(int(t),) for t in cand_sets[q0]]
+    # root prefixes of length ``work_split``, grown by the search's own step
+    prefixes = [(t,) for t in cand_sets[order[0]].tolist()]
     if work_split == 2 and len(order) > 1:
-        q1 = order[1]
-        ext = []
-        for (t0,) in prefixes:
-            for t1 in cand_sets[q1]:
-                t1 = int(t1)
-                if t1 == t0:
-                    continue
-                adj_ok = _adjacent(tadj, t0, t1)
-                if q1 in qadj[q0]:
-                    if not adj_ok:
-                        continue
-                elif induced and adj_ok:
-                    continue
-                ext.append((t0, t1))
-        prefixes = ext
+        prefixes = [(t0, t1) for (t0,) in prefixes
+                    for t1 in _extensions(order, qadj, tadj, cand_sets,
+                                          {order[0]: t0}, induced, optimized)]
     if not prefixes:
         return 0
 
     bc = spark.sparkContext.broadcast(
-        dict(order=order, qadj=qadj, qlab=qlab, tadj=tadj, tlab=tlab,
-             tdeg=tdeg, cand_sets=cand_sets, induced=induced,
-             optimized=optimized)
+        dict(order=order, qadj=qadj, tadj=tadj, cand_sets=cand_sets,
+             induced=induced, optimized=optimized)
     )
     n_part = num_partitions or min(len(prefixes), 64)
     rdd = spark.sparkContext.parallelize(prefixes, n_part)
 
     def run(prefix: tuple[int, ...]) -> int:
         s = bc.value
-        assignment = {s["order"][i]: t for i, t in enumerate(prefix)}
-        return _search(s["order"], s["qadj"], s["qlab"], s["tadj"], s["tlab"],
-                       s["tdeg"], s["cand_sets"], assignment,
-                       s["induced"], s["optimized"])
+        return _search(assignment=dict(zip(s["order"], prefix)), **s)
 
     # The kernel is a per-root backtracking task — the mapInPandas-style
     # boundary with a scalar count per root; RDD map keeps the prefix

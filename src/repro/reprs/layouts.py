@@ -1,121 +1,58 @@
 """Graph-representation storage analysis (paper §6.8, §8.9, Appendix B).
 
-Computes, per set-centric representation, the bytes needed to store all
-neighbourhood sets plus a peak-construction proxy — the Fig. 8c
-measurement. Representations:
+Both functions take the adjacency ``{vertex: sorted int64 array}``
+returned by ``Graph.collect_adjacency()``.
 
-* ``SortedSet``  — 8 B per neighbour ID + 8 B offset per vertex (CSR);
-* ``BitmapSet``  — per-neighbourhood *dense* bitvector of n bits
-  (space-efficient only for very dense rows — the paper's point);
-* ``RoaringLike``— per-neighbourhood min(sorted-array, dense-bitvector)
-  — the container-adaptive choice roaring bitmaps make;
-* ``HashSet``    — 8 B per slot at ~1.6 open-addressing load overhead;
-* ``DasBaseline``— CSR plus per-task P/X/R working copies (the
-  always-highest "Das et al." peak bars of Fig. 8c).
-
-Compression schemes (Log(Graph)/WebGraph analogs, App. B): bit packing
-(⌈log2 n⌉ bits per ID), gap + varint encoding of sorted
-neighbourhoods. Everything is computed in Catalyst from the adjacency
-DataFrame; varint sizes via a small pandas UDF.
+``representation_sizes`` is the Fig. 8c measurement: it builds one set
+per neighbourhood with every class in ``core.sets.SET_REPRS`` — the sets
+the BK and SI kernels run — and reports what the build took, not a
+formula. ``compression_sizes`` gives the Log(Graph)/WebGraph-style sizes
+of the same neighbourhoods (App. B): raw 64-bit IDs, bit packing
+(⌈log2 n⌉ bits per ID), and gap + varint encoding.
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
-from pyspark.sql.types import LongType
 
-from repro.core.graph import Graph
+from repro.core.sets import SET_REPRS
 
 
-@pandas_udf(LongType())
-def _varint_gap_bytes(nbrs: pd.Series) -> pd.Series:
-    """Bytes to store each sorted neighbourhood gap-encoded with Varint."""
-    out = np.zeros(len(nbrs), dtype=np.int64)
-    for i, arr in enumerate(nbrs):
-        a = np.asarray(arr, dtype=np.int64)
-        if a.size == 0:
-            continue
-        gaps = np.diff(a, prepend=0)
-        gaps[0] = a[0]
-        # varint: 1 byte per 7 bits, at least 1
-        bits = np.maximum(np.floor(np.log2(np.maximum(gaps, 1))) + 1, 1)
-        out[i] = int(np.ceil(bits / 7).sum())
-    return pd.Series(out)
+def _build(cls, nbrs: dict[int, np.ndarray]) -> dict[str, int]:
+    """Build ``cls`` per neighbourhood under tracemalloc; keep the caller's tracing."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    sets = [cls(a) for a in nbrs.values()]
+    current, peak = tracemalloc.get_traced_memory()
+    if started:
+        tracemalloc.stop()
+    return {"nbytes_b": sum(s.nbytes() for s in sets),  # the class's own size
+            "traced_b": current - before,  # still allocated after the build
+            "peak_b": peak - before}  # high-water mark during the build
 
 
-def representation_sizes(graph: Graph) -> dict[str, dict]:
-    """Bytes per representation: steady-state size + peak construction proxy."""
-    n = graph.num_vertices()
-    m = graph.num_edges()
-    adj = graph.adjacency()
-    word = 8  # bytes per vertex ID / offset
-    bitmap_row = (n + 63) // 64 * 8  # dense bitvector bytes per neighbourhood
-
-    per_row = adj.select(
-        (F.col("deg") * word).alias("sorted_b"),
-        F.lit(bitmap_row).alias("bitmap_b"),
-        F.least(F.col("deg") * word, F.lit(bitmap_row)).alias("roaring_b"),
-        (F.ceil(F.col("deg") * word * 1.6) + 64).alias("hash_b"),
-        _varint_gap_bytes(F.col("nbrs")).alias("varint_b"),
-        F.col("deg"),
-    ).agg(
-        F.sum("sorted_b").alias("sorted_b"),
-        F.sum("bitmap_b").alias("bitmap_b"),
-        F.sum("roaring_b").alias("roaring_b"),
-        F.sum("hash_b").alias("hash_b"),
-        F.sum("varint_b").alias("varint_b"),
-        F.max("deg").alias("dmax"),
-    ).first()
-
-    offsets = n * word  # offset/pointer structure shared by array-style reps
-    edge_list = 2 * m * word  # raw loaded edges resident during construction
-    sizes = {
-        "SortedSet": {
-            "size_b": int(per_row["sorted_b"]) + offsets,
-            # construction holds the edge list + the representation
-            "peak_b": int(per_row["sorted_b"]) + offsets + edge_list,
-        },
-        "BitmapSet": {
-            "size_b": int(per_row["bitmap_b"]) + offsets,
-            "peak_b": int(per_row["bitmap_b"]) + offsets + edge_list,
-        },
-        "RoaringLike": {
-            "size_b": int(per_row["roaring_b"]) + offsets,
-            # roaring construction materialises both container kinds
-            # before choosing (the visibly-highest peak of Fig. 8c)
-            "peak_b": int(per_row["sorted_b"]) + int(per_row["bitmap_b"])
-            + offsets + edge_list,
-        },
-        "HashSet": {
-            "size_b": int(per_row["hash_b"]) + offsets,
-            "peak_b": int(per_row["hash_b"]) + offsets + edge_list,
-        },
-        "DasBaseline": {
-            # CSR plus per-task P/X/R working arrays sized by Δ per core
-            "size_b": int(per_row["sorted_b"]) + offsets,
-            "peak_b": int(per_row["sorted_b"]) + offsets + edge_list
-            + 3 * int(per_row["dmax"] or 0) * word * 16,
-        },
-    }
-    return sizes
+def representation_sizes(nbrs: dict[int, np.ndarray]) -> dict[str, dict[str, int]]:
+    """Per ``SET_REPRS`` name: ``nbytes_b``, ``traced_b`` and ``peak_b``."""
+    return {name: _build(cls, nbrs) for name, cls in SET_REPRS.items()}
 
 
-def compression_sizes(graph: Graph) -> dict[str, int]:
+def _varint_gap_bytes(a: np.ndarray) -> int:
+    """Bytes of one sorted neighbourhood gap-encoded with varints (7 bits/byte)."""
+    gaps = np.maximum(np.diff(a, prepend=0), 1)
+    return int((np.floor(np.log2(gaps)) // 7 + 1).sum())
+
+
+def compression_sizes(nbrs: dict[int, np.ndarray]) -> dict[str, int]:
     """Adjacency-data bytes under Log(Graph)-style compression schemes."""
-    n = graph.num_vertices()
-    m = graph.num_edges()
-    word_bits = 64
-    pack_bits = max(1, math.ceil(math.log2(max(n, 2))))
-    varint_b = int(
-        graph.adjacency().select(_varint_gap_bytes(F.col("nbrs")).alias("b"))
-        .agg(F.sum("b")).first()[0] or 0
-    )
+    arcs = sum(a.size for a in nbrs.values())  # 2m: each edge in both lists
+    pack_bits = max(1, math.ceil(math.log2(max(len(nbrs), 2))))
     return {
-        "raw_csr_b": 2 * m * word_bits // 8,
-        "bit_packed_b": math.ceil(2 * m * pack_bits / 8),  # Log(Graph) packing
-        "varint_gap_b": varint_b,
+        "raw_csr_b": arcs * 8,
+        "bit_packed_b": math.ceil(arcs * pack_bits / 8),  # Log(Graph) packing
+        "varint_gap_b": sum(_varint_gap_bytes(a) for a in nbrs.values()),
     }

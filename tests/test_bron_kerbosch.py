@@ -162,3 +162,11 @@ def test_independent_of_partitioning(spark, er_graph):
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", before)
     assert all(rows == got[0] for rows in got[1:])
+
+
+@pytest.mark.parametrize("order", ["none", "deg", "dgr", "adg"])
+def test_edgeless_graph_has_no_cliques(spark, order):
+    """Self-loops are dropped, so the graph has no vertices and no cliques."""
+    pdf = pd.DataFrame({"src": [0, 1], "dst": [0, 1]})
+    got = _cliques(bk_maximal_cliques(Graph.from_pandas(spark, pdf), order=order))
+    assert got == ref_maximal_cliques(pdf[pdf["src"] != pdf["dst"]]) == set()

@@ -81,8 +81,8 @@ def test_oriented_includes_sinks_with_empty_sets(tri_graph):
     assert sum(len(r["out_nbrs"]) for r in out.collect()) == tri_graph.num_edges()
 
 
-def test_stats_on_known_graph(tri_graph, spark):
-    s = tri_graph.stats(spark)
+def test_stats_on_known_graph(tri_graph):
+    s = tri_graph.stats()
     assert s["n"] == 6 and s["m"] == 5
     assert s["T"] == 1
     assert s["max_deg"] == 3
@@ -93,7 +93,7 @@ def test_stats_on_known_graph(tri_graph, spark):
 def test_stats_match_networkx_on_random_graph(spark):
     pdf = gen.erdos_renyi(120, 0.08, seed=13)
     g = Graph.from_pandas(spark, pdf)
-    s = g.stats(spark)
+    s = g.stats()
     nxg = nx_graph(pdf)
     assert s["n"] == nxg.number_of_nodes()
     assert s["m"] == nxg.number_of_edges()

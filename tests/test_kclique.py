@@ -146,3 +146,21 @@ def test_recorder_when_a_level_is_empty(spark):
     rec = WorkDepthRecorder()
     assert kclique_count_naive(g, 5, recorder=rec) == 0
     assert (rec.iterations, rec.set_elements_touched) == (4, 6)
+
+
+def test_independent_of_shuffle_partitions(spark, planted_graph):
+    """Counts and listed cliques do not depend on spark.sql.shuffle.partitions."""
+    pdf, _ = planted_graph
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for parts in ("1", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", parts)
+            g = Graph.from_pandas(spark, pdf)
+            listed = sorted(tuple(r["members"]) for r in kclique_list(g, 4).collect())
+            got.append((kclique_count(g, 4, strategy="node"),
+                        kclique_count(g, 4, strategy="edge"), listed))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[0] == got[1]
+    assert got[0][0] == got[0][1] == len(got[0][2]) == ref_kclique_count(pdf, 4)

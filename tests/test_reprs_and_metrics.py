@@ -1,11 +1,13 @@
 """Representation/compression sizing, metrics harness, work-depth."""
 import math
+import tracemalloc
 
 import pandas as pd
 import pytest
 
 from repro.core.graph import Graph
 from repro.core.metrics import RunResult, print_table, run_timed
+from repro.core.sets import SET_REPRS
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
 from repro.reprs.layouts import compression_sizes, representation_sizes
@@ -14,85 +16,80 @@ from repro.reprs.layouts import compression_sizes, representation_sizes
 @pytest.fixture(scope="module")
 def rep_graph(spark):
     pdf = gen.barabasi_albert(120, 4, seed=71)
-    return pdf, Graph.from_pandas(spark, pdf)
+    g = Graph.from_pandas(spark, pdf)
+    return g, g.collect_adjacency()
 
 
 # ----------------------------- representation sizes -----------------------
 
+def test_sizes_are_the_set_classes_nbytes(rep_graph):
+    """Fig. 8c reports the kernels' own sets, one per neighbourhood."""
+    _, nbrs = rep_graph
+    sizes = representation_sizes(nbrs)
+    assert set(sizes) == set(SET_REPRS)
+    for name, cls in SET_REPRS.items():
+        want = sum(cls(a).nbytes() for a in nbrs.values())
+        assert sizes[name]["nbytes_b"] == want, name
+
+
 def test_sorted_size_is_csr(rep_graph):
-    pdf, g = rep_graph
-    sizes = representation_sizes(g)
-    n, m = g.num_vertices(), g.num_edges()
-    assert sizes["SortedSet"]["size_b"] == 2 * m * 8 + n * 8  # 2m words + offsets
+    g, nbrs = rep_graph
+    assert representation_sizes(nbrs)["sorted"]["nbytes_b"] == 2 * g.num_edges() * 8
 
 
 def test_bitmap_larger_for_sparse_graph(spark):
-    """Dense bitvectors waste space when deg ≪ n/64 (paper §5.2)."""
-    pdf = gen.gnm(3000, 2000, seed=73)  # avg degree ≈ 1.3 ≪ n/64
-    g = Graph.from_pandas(spark, pdf)
-    sizes = representation_sizes(g)
-    assert sizes["BitmapSet"]["size_b"] > sizes["SortedSet"]["size_b"]
+    """Bitmaps waste space when IDs are wide and degrees small (paper §5.2)."""
+    pdf = gen.gnm(3000, 2000, seed=73)  # avg degree ≈ 1.3, IDs up to 3000
+    sizes = representation_sizes(Graph.from_pandas(spark, pdf).collect_adjacency())
+    assert sizes["bitmap"]["nbytes_b"] > sizes["sorted"]["nbytes_b"]
 
 
 def test_bitmap_smaller_for_dense_small_graph(rep_graph):
-    """...but wins when neighbourhoods are dense relative to n (§5.2)."""
-    pdf, g = rep_graph  # n=120: a 16-byte bitvector beats 8B/neighbour
-    sizes = representation_sizes(g)
-    assert sizes["BitmapSet"]["size_b"] < sizes["SortedSet"]["size_b"]
-
-
-def test_roaring_never_worse_than_either(rep_graph):
-    pdf, g = rep_graph
-    sizes = representation_sizes(g)
-    assert sizes["RoaringLike"]["size_b"] <= sizes["SortedSet"]["size_b"]
-    assert sizes["RoaringLike"]["size_b"] <= sizes["BitmapSet"]["size_b"]
-
-
-def test_roaring_peak_highest_of_array_reps(rep_graph):
-    """Fig. 8c: RoaringSet construction peak exceeds either plain container."""
-    pdf, g = rep_graph
-    sizes = representation_sizes(g)
-    assert sizes["RoaringLike"]["peak_b"] > sizes["SortedSet"]["peak_b"]
-    assert sizes["RoaringLike"]["peak_b"] > sizes["BitmapSet"]["peak_b"]
-
-
-def test_das_baseline_peak_exceeds_csr(rep_graph):
-    pdf, g = rep_graph
-    sizes = representation_sizes(g)
-    assert sizes["DasBaseline"]["peak_b"] > sizes["SortedSet"]["peak_b"]
+    """...but win when neighbourhoods are dense relative to n (§5.2)."""
+    _, nbrs = rep_graph  # n=120: at most a 15-byte int beats 8 B/neighbour
+    sizes = representation_sizes(nbrs)
+    assert sizes["bitmap"]["nbytes_b"] < sizes["sorted"]["nbytes_b"]
 
 
 def test_peak_exceeds_steady_state(rep_graph):
-    pdf, g = rep_graph
-    for name, s in representation_sizes(g).items():
-        assert s["peak_b"] >= s["size_b"], name
+    _, nbrs = rep_graph
+    for name, s in representation_sizes(nbrs).items():
+        assert s["peak_b"] >= s["traced_b"] >= s["nbytes_b"] > 0, name
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_sizes_restore_tracing_state(rep_graph, tracing):
+    _, nbrs = rep_graph
+    if tracing:
+        tracemalloc.start()
+    try:
+        representation_sizes(nbrs)
+        assert tracemalloc.is_tracing() == tracing
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------- compression --------------------------------
 
 def test_bit_packing_compresses(rep_graph):
-    pdf, g = rep_graph
-    c = compression_sizes(g)
+    _, nbrs = rep_graph
+    c = compression_sizes(nbrs)
     assert c["bit_packed_b"] < c["raw_csr_b"]
-    n = g.num_vertices()
     ratio = c["bit_packed_b"] / c["raw_csr_b"]
-    assert ratio == pytest.approx(math.ceil(math.log2(n)) / 64, rel=0.1)
+    assert ratio == pytest.approx(math.ceil(math.log2(len(nbrs))) / 64, rel=0.1)
 
 
 def test_varint_gap_beats_raw(rep_graph):
-    pdf, g = rep_graph
-    c = compression_sizes(g)
+    _, nbrs = rep_graph
+    c = compression_sizes(nbrs)
     assert 0 < c["varint_gap_b"] < c["raw_csr_b"]
 
 
 def test_varint_gap_exact_tiny(spark):
-    # single neighbourhood {1, 300}: gaps (1, 299) → 1 + 2 varint bytes,
-    # counted once per direction of the edge
-    pdf = pd.DataFrame({"src": [1, 1], "dst": [300, 2]})
-    g = Graph.from_pandas(spark, pdf)
-    c = compression_sizes(g)
-    # neighbourhoods: 1->[2,300] (1B + 2B gaps: gap1=2(1B), gap2=298(2B)),
+    # neighbourhoods: 1->[2,300] (gaps 2 and 298: 1B + 2B),
     # 2->[1] (1B), 300->[1] (1B)
+    pdf = pd.DataFrame({"src": [1, 1], "dst": [300, 2]})
+    c = compression_sizes(Graph.from_pandas(spark, pdf).collect_adjacency())
     assert c["varint_gap_b"] == 3 + 1 + 1
 
 

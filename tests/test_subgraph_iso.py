@@ -53,12 +53,15 @@ def test_labels_restrict_matches(spark, labeled_target):
     assert got == want
 
 
-@pytest.mark.parametrize("work_split", [1, 2])
-def test_work_split_invariant(spark, labeled_target, work_split):
+@pytest.mark.parametrize("optimized,work_split", [
+    pytest.param(True, 1, id="1"), pytest.param(True, 2, id="2"),
+    pytest.param(False, 1, id="baseline-1"), pytest.param(False, 2, id="baseline-2"),
+])
+def test_work_split_invariant(spark, labeled_target, optimized, work_split):
     """Work splitting changes parallel decomposition, never the count."""
     edges, labels, g = labeled_target
     qe, ql = _triangle_query()
-    got = si_count(spark, g, labels, qe, ql, induced=True, optimized=True,
+    got = si_count(spark, g, labels, qe, ql, induced=True, optimized=optimized,
                    work_split=work_split)
     want = ref_subgraph_iso_count(edges, labels, qe, ql, induced=True)
     assert got == want
@@ -94,3 +97,22 @@ def test_single_vertex_query(spark, labeled_target):
     ql = pd.DataFrame({"vertex": [0], "label": [1]})
     got = si_count(spark, g, labels, qe, ql)
     assert got == int((labels["label"] == 1).sum())
+
+
+def test_independent_of_shuffle_partitions(spark, labeled_target):
+    """Counts do not depend on spark.sql.shuffle.partitions."""
+    edges, labels, _ = labeled_target
+    qe = pd.DataFrame({"src": [0, 1, 2, 0], "dst": [1, 2, 3, 3]})
+    ql = pd.DataFrame({"vertex": [0, 1, 2, 3], "label": [0, 0, 0, 0]})
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for parts in ("1", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", parts)
+            g = Graph.from_pandas(spark, edges)
+            got.append([si_count(spark, g, labels, qe, ql, optimized=True,
+                                 work_split=w) for w in (1, 2)])
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[0] == got[1]
+    assert got[0][0] == got[0][1] == ref_subgraph_iso_count(edges, labels, qe, ql)
