@@ -16,8 +16,7 @@ def get_spark(app: str) -> SparkSession:
     """The one session builder, shared with the test fixture.
 
     Broadcast joins are disabled so set-op joins exercise the shuffle
-    path at these scales; a query that wants a broadcast join sets the
-    threshold back for itself.
+    path at these scales.
     """
     return (
         SparkSession.builder.appName(app)

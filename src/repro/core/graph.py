@@ -88,8 +88,7 @@ class Graph:
         ``order`` has columns (vertex, rank); an edge points from lower
         to higher rank (ties broken by vertex ID so the orientation is
         total and acyclic). Returns (vertex, rank, out_nbrs sorted by
-        *rank* position irrelevant — stored sorted by ID) including
-        rank-sink vertices with empty out_nbrs.
+        vertex ID), including rank-sink vertices with empty out_nbrs.
         """
         e = self.symmetric_edges()
         ranked = (

@@ -3,7 +3,7 @@
 * plain runtime (total, plus a fine-grained preprocessing fraction —
   the "Fraction needed for reordering" bars of Figs. 4/5);
 * the novel *algorithmic throughput*: patterns mined per second
-  (maximal cliques/s, k-cliques/s, similarity pairs/s, ...), the metric
+  (maximal cliques/s, k-cliques/s, ...), the metric
   Fig. 1 / Fig. 11 plot.
 
 ``run_timed`` is the single harness every job uses so that numbers in

@@ -31,9 +31,3 @@ class WorkDepthRecorder:
 
     def touch(self, n: int) -> None:
         self.set_elements_touched += int(n)
-
-    def row(self) -> dict:
-        return {
-            "iterations(depth proxy)": self.iterations,
-            "set_elements(work proxy)": self.set_elements_touched,
-        }

@@ -7,8 +7,8 @@ Spark implementations are checked against two independent references:
 * pure-python brute force (itertools) — for tiny graphs, independent of
   networkx, so the two oracles also cross-check each other.
 
-Relational formulations (similarity, degree stats, triangle counting via
-joins) additionally go through the DuckDB oracle in ``repro.oracle``.
+Relational formulations (degree stats, triangle counting via joins)
+additionally go through the DuckDB oracle in ``repro.oracle``.
 """
 from __future__ import annotations
 
@@ -89,13 +89,3 @@ def brute_maximal_cliques(edges: pd.DataFrame) -> set[frozenset]:
                 cliques.append(frozenset(comb))
     return {c for c in cliques
             if not any(c < d for d in cliques)}
-
-
-def ref_jaccard(edges: pd.DataFrame, pairs: list[tuple[int, int]]) -> dict:
-    g = nx_graph(edges)
-    out = {}
-    for u, v in pairs:
-        nu, nv = set(g[u]) if u in g else set(), set(g[v]) if v in g else set()
-        un = len(nu | nv)
-        out[(u, v)] = (len(nu & nv) / un) if un else 0.0
-    return out

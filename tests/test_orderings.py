@@ -1,4 +1,4 @@
-"""Tests for DEG / DGR / ADG / triangle-rank orderings and k-cores.
+"""Tests for DEG / DGR / ADG orderings and k-cores.
 
 Covers the correctness claims the paper's §6.1/§7 rely on:
 exact core numbers (vs networkx), the degeneracy-ordering invariant
@@ -24,7 +24,6 @@ from repro.orderings.degeneracy import (
     kcore,
 )
 from repro.orderings.degree import degree_order, identity_order
-from repro.orderings.triangle_rank import triangle_count_order
 
 
 def _order_map(df):
@@ -75,13 +74,6 @@ def test_identity_order(ba_graph):
     order = _order_map(identity_order(g))
     by_rank = sorted(order, key=order.get)
     assert by_rank == sorted(by_rank)
-
-
-def test_triangle_order_is_permutation(spark):
-    pdf = gen.erdos_renyi(60, 0.12, seed=9)
-    g = Graph.from_pandas(spark, pdf)
-    order = _order_map(triangle_count_order(g))
-    _check_is_permutation(order, g.num_vertices())
 
 
 # ---------------- exact degeneracy / cores --------------------------------

@@ -139,4 +139,3 @@ def test_recorder_accumulates():
     rec.touch(7)
     assert rec.iterations == 2
     assert rec.set_elements_touched == 12
-    assert rec.row()["iterations(depth proxy)"] == 2
