@@ -14,14 +14,16 @@ sets N+(v) = {u ∈ N(v) : η(v) < η(u)} — the preprocessing step both
 k-clique listing (Alg. 7 line 9) and BK's outer split (Alg. 6 line 13)
 rely on.
 
-All methods but ``collect_adjacency`` return DataFrames, so downstream
-algorithms stay in Catalyst until they must drop into a per-root Python
-kernel; that kernel reads the graph from ``collect_adjacency``, broadcast.
+All methods but ``collect_adjacency`` and ``per_root`` return DataFrames,
+so downstream algorithms stay in Catalyst until they must drop into a
+per-root Python kernel; ``per_root`` runs that kernel over a broadcast of,
+e.g., ``collect_adjacency``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -79,6 +81,21 @@ class Graph:
         """
         return {int(r["vertex"]): np.asarray(r["nbrs"], dtype=np.int64)
                 for r in self.adjacency().collect()}
+
+    def per_root(self, shared, roots: list, kernel, num_partitions: int | None = None
+                 ) -> RDD:
+        """The outermost parallel loop: ``kernel(shared, root)`` rows for every root.
+
+        ``shared`` (e.g. ``collect_adjacency``) is broadcast once. ``roots``
+        are dealt round-robin into n = min(#roots, ``num_partitions`` or
+        ``defaultParallelism``) tasks, at least one, so roots listed
+        heaviest first spread over every task.
+        """
+        sc = self.edges.sparkSession.sparkContext
+        n = max(1, min(len(roots), num_partitions or sc.defaultParallelism))
+        bc = sc.broadcast(shared)
+        return sc.parallelize([roots[i::n] for i in range(n)], n).flatMap(
+            lambda part: (row for root in part for row in kernel(bc.value, root)))
 
     # -- pipeline stage 3: preprocessing hooks ---------------------------
 

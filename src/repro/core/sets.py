@@ -1,21 +1,19 @@
 """GMS Set interface (paper §5.1–5.2, Listing 1) in two layers.
 
 Layer 1 — Catalyst set algebra over array columns. Neighbourhoods are
-sorted integer array columns; ∩, ∪, ∖, |·|, ∈ map onto Spark SQL array
+sorted integer array columns; ∩ and |∩| map onto Spark SQL array
 functions, so a whole "set-centric" formulation (e.g. triangle counting
-``tc += |N(v) ∩ N(w)|``) stays inside the optimizer. These wrappers give
-the paper's names (`intersect`, `diff`, `union`, `cardinality`,
-`contains`) to the Catalyst primitives and are the 5+ modularity seam:
-any algorithm written against them is representation-agnostic.
+``tc += |N(v) ∩ N(w)|``) stays inside the optimizer. ``intersect`` and
+``intersect_count`` give the paper's names to those Catalyst primitives.
 
 Layer 2 — driver/worker-side set representations used inside Python
-kernels (Bron–Kerbosch, subgraph isomorphism run per-root via
-mapInPandas). Three implementations mirror the paper's SortedSet /
-RoaringSet / HashSet: ``SortedSet`` (sorted numpy arrays, merge-based
-ops — the CSR analog), ``BitmapSet`` (one Python int as a bitset, bulk
-bitwise ops and ``int.bit_count()`` — the roaring-bitmap analog),
-``HashSet`` (Python frozenset — Robin-Hood-hashtable analog). They share
-one interface so a kernel is parameterised by the class alone.
+kernels (Bron–Kerbosch, run per root by ``Graph.per_root``). Three
+implementations mirror the paper's SortedSet / RoaringSet / HashSet:
+``SortedSet`` (sorted numpy arrays, merge-based ops — the CSR analog),
+``BitmapSet`` (one Python int as a bitset, bulk bitwise ops and
+``int.bit_count()`` — the roaring-bitmap analog), ``HashSet`` (Python
+frozenset — Robin-Hood-hashtable analog). They share one interface so a
+kernel is parameterised by the class alone.
 """
 from __future__ import annotations
 
@@ -36,31 +34,6 @@ def intersect(a: Column, b: Column) -> Column:
 def intersect_count(a: Column, b: Column) -> Column:
     """|A ∩ B| without materialising the intersection order."""
     return F.size(F.array_intersect(a, b))
-
-
-def diff(a: Column, b: Column) -> Column:
-    """A ∖ B as a new array column."""
-    return F.array_sort(F.array_except(a, b))
-
-
-def union(a: Column, b: Column) -> Column:
-    """A ∪ B as a new array column."""
-    return F.array_sort(F.array_union(a, b))
-
-
-def union_count(a: Column, b: Column) -> Column:
-    """|A ∪ B|."""
-    return F.size(F.array_union(a, b))
-
-
-def cardinality(a: Column) -> Column:
-    """|A|; empty/null-safe (null set ≡ ∅)."""
-    return F.coalesce(F.size(a), F.lit(0))
-
-
-def contains(a: Column, elem) -> Column:
-    """elem ∈ A."""
-    return F.array_contains(a, elem)
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Maximal clique listing — Bron–Kerbosch with GMS enhancements (§6.2, Alg. 6).
 
-Distributed formulation (one Spark task per outer-loop root, the
-paper's outermost parallel loop):
+Distributed formulation (the paper's outermost parallel loop, over
+roots):
 
 1. Preprocessing (stage 3): rank vertices by a pluggable ordering
    (``none`` = ID order → the BK-DAS-analog baseline, ``deg`` → BK-DEG,
    ``dgr`` → BK-DGR, ``adg`` → BK-ADG).
 2. For each root v: P = N+(v) (later-ranked neighbours), X = N−(v),
    R = {v} (Alg. 6 line 13 — the split *is* a set intersection with the
-   rank-suffix, implemented by orientation).
-3. The root rows (root, P) go to a Python kernel (``mapInPandas``) that
-   reads the graph from a broadcast of ``Graph.collect_adjacency`` — the
-   paper's shared-memory graph, as for SI. Per root it takes S = N(v)
-   and X = S ∖ P, then:
+   rank-suffix).
+3. ``Graph.per_root`` runs the kernel over a broadcast of
+   ``Graph.collect_adjacency`` and the collected ranks — the paper's
+   shared-memory graph, as for SI — with roots dealt heaviest (highest
+   degree) first. Per root it marks P within S = N(v) by the rule
+   ``Graph.oriented`` uses ((rank, vertex) compared lexicographically;
+   Eppstein et al.'s per-root split), takes X = S ∖ P, then:
    * ``subgraph_opt=True`` (the ADG-S variant): relabels S to
      0..|S|−1 and restricts every N(u) to S — the precomputed subgraph H
      of Eppstein et al. used for pivot selection *and* the P/X
@@ -31,12 +33,8 @@ member — the standard degeneracy-parallel BK argument.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.sets import make_set_factory
@@ -82,11 +80,10 @@ def _bk_pivot(P, R: list[int], X, adj, out: list[list[int]]) -> None:
         X = X.add(v)
 
 
-def _root_cliques(root: int, p: np.ndarray, nbrs: dict[int, np.ndarray], make,
+def _root_cliques(root: int, in_p: np.ndarray, nbrs: dict[int, np.ndarray], make,
                   subgraph_opt: bool) -> list[list[int]]:
-    """Maximal cliques emitted at ``root``: R = {root}, P = ``p``, X = N(root) ∖ P."""
+    """Maximal cliques emitted at ``root``: R = {root}, P = N(root)[in_p], X = the rest."""
     s = nbrs[root]
-    in_p = np.isin(s, p, assume_unique=True)
     if subgraph_opt:  # H: S relabelled to 0..|S|-1, every N(u) restricted to S
         adj = {i: make(np.intersect1d(nbrs[u], s, assume_unique=True,
                                       return_indices=True)[2])
@@ -118,27 +115,20 @@ def bk_maximal_cliques(
     for the Fig. 8b scaling analysis.
     """
     order_df = resolve_order(graph, order, epsilon)
-    roots = graph.oriented(order_df).select(
-        F.col("vertex").alias("root"), F.col("out_nbrs").alias("p"))
-    if num_partitions is not None:
-        roots = roots.repartition(num_partitions)
+    rank = {int(r["vertex"]): r["rank"] for r in order_df.collect()}
     nbrs = graph.collect_adjacency()
     # ``nbrs`` is empty on an edgeless graph
     make = make_set_factory(set_repr, max(nbrs, default=-1) + 1)
-    shared = roots.sparkSession.sparkContext.broadcast(nbrs)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        nbrs = shared.value
-        for pdf in batches:
-            found, cliques = [], []
-            for root, p in zip(pdf["root"].tolist(), pdf["p"]):
-                for c in _root_cliques(root, p, nbrs, make, subgraph_opt):
-                    found.append(root)
-                    cliques.append(c)
-            yield pd.DataFrame({"root": pd.Series(found, dtype="int64"),
-                                "clique": pd.Series(cliques, dtype="object")})
+    def kernel(shared, root: int) -> list[tuple[int, list[int]]]:
+        nbrs, rank = shared
+        key = (rank[root], root)
+        in_p = np.array([(rank[u], u) > key for u in nbrs[root].tolist()], dtype=bool)
+        return [(root, c) for c in _root_cliques(root, in_p, nbrs, make, subgraph_opt)]
 
-    return roots.mapInPandas(run, schema="root long, clique array<long>")
+    roots = sorted(nbrs, key=lambda v: (-nbrs[v].size, v))
+    rows = graph.per_root((nbrs, rank), roots, kernel, num_partitions)
+    return graph.edges.sparkSession.createDataFrame(rows, "root long, clique array<long>")
 
 
 def bk_count(graph: Graph, **kwargs) -> int:

@@ -1,17 +1,18 @@
 """Subgraph isomorphism — VF2-style backtracking with GMS enhancements
 (paper §6.4, Fig. 7).
 
-The target graph is "shared memory" in the paper's setting, so it is
-broadcast (adjacency + labels) to all Spark tasks; the search tree is
-parallelised over root assignments of the first query vertex(es).
+The target graph is "shared memory" in the paper's setting, so
+``Graph.per_root`` broadcasts it (adjacency + candidate sets) to all
+Spark tasks; the search tree is parallelised over root assignments of
+the first query vertex(es).
 
 Baseline (``optimized=False``) ≈ parallel VF3-Light: label-filtered
 candidates, pairwise adjacency feasibility checks, node-parallel roots.
 
 GMS enhancements (each a Fig. 7 ablation knob):
 * ``work_split=2`` — roots are *pairs* of assignments for the first two
-  plan vertices → many more, smaller tasks; Spark's scheduler then
-  plays the role of the paper's lock-free work-stealing queue.
+  plan vertices → many more, smaller prefixes, dealt round-robin over
+  the tasks by ``Graph.per_root``.
 * ``optimized=True`` — (a) per-query-vertex candidate sets precomputed
   once (label + degree filter; the paper's "precompute scheme"), and
   (b) candidate generation by *intersecting neighbour sets* of already
@@ -143,21 +144,9 @@ def si_count(
         prefixes = [(t0, t1) for (t0,) in prefixes
                     for t1 in _extensions(order, qadj, tadj, cand_sets,
                                           {order[0]: t0}, induced, optimized)]
-    if not prefixes:
-        return 0
-
-    bc = spark.sparkContext.broadcast(
-        dict(order=order, qadj=qadj, tadj=tadj, cand_sets=cand_sets,
-             induced=induced, optimized=optimized)
-    )
-    n_part = num_partitions or min(len(prefixes), 64)
-    rdd = spark.sparkContext.parallelize(prefixes, n_part)
-
-    def run(prefix: tuple[int, ...]) -> int:
-        s = bc.value
-        return _search(assignment=dict(zip(s["order"], prefix)), **s)
-
-    # The kernel is a per-root backtracking task — the mapInPandas-style
-    # boundary with a scalar count per root; RDD map keeps the prefix
-    # tuples without schema ceremony (documented in DESIGN.md layering).
-    return int(rdd.map(run).sum())
+    shared = dict(order=order, qadj=qadj, tadj=tadj, cand_sets=cand_sets,
+                  induced=induced, optimized=optimized)
+    return int(target.per_root(
+        shared, prefixes,
+        lambda s, prefix: [_search(assignment=dict(zip(s["order"], prefix)), **s)],
+        num_partitions).sum())

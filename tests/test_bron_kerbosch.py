@@ -7,15 +7,25 @@ impact the formulations").
 """
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.graphs import generators as gen
 from repro.graphs.reference import brute_maximal_cliques, ref_maximal_cliques
 from repro.mining.bron_kerbosch import bk_count, bk_maximal_cliques, resolve_order
+from repro.orderings.degeneracy import degeneracy_order
+from repro.orderings.degree import degree_order
 
 
 def _cliques(df):
     return {frozenset(r["clique"]) for r in df.collect()}
+
+
+def _assert_rooted_at_min(rows, order):
+    """Each row's root is its clique's (rank, vertex)-minimum member."""
+    rank = {r["vertex"]: r["rank"] for r in order.collect()}
+    for r in rows:
+        assert r["root"] == min(r["clique"], key=lambda v: (rank[v], v)), r
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +107,10 @@ def test_each_clique_reported_once(er_graph):
 
 
 def test_root_is_min_ranked_member(er_graph):
-    """Each clique is emitted at exactly one root, which belongs to it."""
+    """Each clique is emitted at its minimum member under the DGR order."""
     pdf, g = er_graph
-    for r in bk_maximal_cliques(g, order="dgr").collect():
-        assert r["root"] in r["clique"]
+    order = degeneracy_order(g).localCheckpoint(eager=True)
+    _assert_rooted_at_min(bk_maximal_cliques(g, order=order).collect(), order)
 
 
 def test_bk_count(planted_graph):
@@ -115,14 +125,27 @@ def test_unknown_order_rejected(er_graph):
 
 
 def test_custom_order_dataframe(er_graph):
-    """resolve_order passes explicit (vertex, rank) DataFrames through."""
-    pdf, g = er_graph
-    from repro.orderings.degree import degree_order
+    """resolve_order passes explicit (vertex, rank) DataFrames through.
 
+    With every rank 0, ties fall back to the vertex ID.
+    """
+    pdf, g = er_graph
     od = degree_order(g)
     assert resolve_order(g, od) is od
-    got = _cliques(bk_maximal_cliques(g, order=od))
-    assert got == ref_maximal_cliques(pdf)
+    for order in (od, od.withColumn("rank", F.lit(0).cast("long"))):
+        rows = bk_maximal_cliques(g, order=order).collect()
+        assert {frozenset(r["clique"]) for r in rows} == ref_maximal_cliques(pdf)
+        _assert_rooted_at_min(rows, order)
+
+
+def test_warm_call_launches_at_most_three_jobs(er_graph, count_jobs):
+    """Collect the ranks, collect the adjacency, run the kernel: no orientation."""
+    pdf, g = er_graph
+    g.adjacency().count()
+    order = degeneracy_order(g).localCheckpoint(eager=True)
+    rows, jobs = count_jobs(lambda: bk_maximal_cliques(g, order=order).collect())
+    assert {frozenset(r["clique"]) for r in rows} == ref_maximal_cliques(pdf)
+    assert jobs <= 3
 
 
 def test_dense_block_single_clique(spark):

@@ -101,3 +101,16 @@ def test_stats_match_networkx_on_random_graph(spark):
 
     assert s["T"] == sum(nx.triangles(nxg).values()) // 3
     assert s["max_deg"] == max(d for _, d in nxg.degree())
+
+
+@pytest.mark.parametrize("n_roots,num_partitions", [
+    (0, None), (3, None), (50, None), (3, 7), (50, 7),
+])
+def test_per_root_deals_each_root_once(spark, tri_graph, n_roots, num_partitions):
+    """Roots go round-robin into min(#roots, num_partitions or cores) tasks."""
+    roots = list(range(100, 100 + n_roots))
+    rdd = tri_graph.per_root("shared", roots, lambda s, r: [(r, s)], num_partitions)
+    n = max(1, min(n_roots, num_partitions or spark.sparkContext.defaultParallelism))
+    assert rdd.getNumPartitions() == n
+    assert rdd.glom().collect() == [[(r, "shared") for r in roots[i::n]]
+                                    for i in range(n)]

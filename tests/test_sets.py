@@ -142,31 +142,6 @@ def test_catalyst_intersect_count(pairs_df):
     assert got == [2, 0, 0, 2]
 
 
-def test_catalyst_diff(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.diff(F.col("a"), F.col("b"))).collect()]
-    assert got == [[1], [1], [], []]
-
-
-def test_catalyst_union(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.union(F.col("a"), F.col("b"))).collect()]
-    assert got == [[1, 2, 3, 4], [1, 2], [1], [4, 5]]
-
-
-def test_catalyst_union_count(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.union_count(F.col("a"), F.col("b"))).collect()]
-    assert got == [4, 2, 1, 2]
-
-
-def test_catalyst_cardinality(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.cardinality(F.col("a"))).collect()]
-    assert got == [3, 1, 0, 2]
-
-
-def test_catalyst_contains(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.contains(F.col("a"), F.lit(1))).collect()]
-    assert got == [True, True, False, False]
-
-
 def test_catalyst_matches_duckdb_oracle(spark):
     """Set-intersection cardinality cross-checked relationally in DuckDB."""
     from repro.oracle import assert_equivalent
