@@ -9,23 +9,37 @@ A graph is two DataFrames:
   CSR/SetGraph analog of Listing 2: one Set per neighbourhood; all
   graph accesses (degree check, N(v) load, edge-exists) go through it.
 
-Orientation by a vertex ordering (``oriented``) produces out-neighbour
-sets N+(v) = {u ∈ N(v) : η(v) < η(u)} — the preprocessing step both
-k-clique listing (Alg. 7 line 9) and BK's outer split (Alg. 6 line 13)
-rely on.
+Orientation by a vertex ordering η gives out-neighbour sets
+N+(v) = {u ∈ N(v) : η(v) < η(u)}, the preprocessing step of k-clique
+listing (Alg. 7 line 9) and of BK's outer split (Alg. 6 line 13). Both
+run as per-root Python kernels, so they take N+(v) from ``ranked_after``
+on collected ranks; ``Graph.oriented`` is the same rule in Catalyst.
 
-All methods but ``collect_adjacency`` and ``per_root`` return DataFrames,
-so downstream algorithms stay in Catalyst until they must drop into a
-per-root Python kernel; ``per_root`` runs that kernel over a broadcast of,
-e.g., ``collect_adjacency``.
+All methods but ``collect_adjacency`` and ``per_root`` return DataFrames.
+Triangle counting and the peeling orderings stay in Catalyst; BK, SI and
+k-clique drop into a per-root Python kernel, which ``per_root`` runs
+over a broadcast of, e.g., ``collect_adjacency``.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
 from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+if TYPE_CHECKING:  # per-root kernels import this module in every Python worker
+    import pandas as pd
+
+
+def ranked_after(rank: dict, v: int, nbrs: np.ndarray) -> np.ndarray:
+    """Mask of ``nbrs`` = N(v) ranked after v by (rank, vertex): N+(v) = nbrs[mask].
+
+    Ties in ``rank`` fall to the vertex ID, so the orientation is acyclic.
+    """
+    key = (rank[v], v)
+    return np.array([(rank[u], u) > key for u in nbrs.tolist()], dtype=bool)
 
 
 class Graph:
@@ -100,12 +114,15 @@ class Graph:
     # -- pipeline stage 3: preprocessing hooks ---------------------------
 
     def oriented(self, order: DataFrame) -> DataFrame:
-        """Out-adjacency under a vertex ordering.
+        """Out-adjacency under a vertex ordering, in Catalyst.
 
         ``order`` has columns (vertex, rank); an edge points from lower
-        to higher rank (ties broken by vertex ID so the orientation is
-        total and acyclic). Returns (vertex, rank, out_nbrs sorted by
-        vertex ID), including rank-sink vertices with empty out_nbrs.
+        to higher rank (ties broken by vertex ID, as in ``ranked_after``,
+        so the orientation is total and acyclic). Returns (vertex, rank,
+        out_nbrs sorted by vertex ID), including rank-sink vertices with
+        empty out_nbrs. BK and k-clique orient with ``ranked_after``
+        instead; only gmsbench's traced pass still calls this, to time an
+        orientation layer.
         """
         e = self.symmetric_edges()
         ranked = (

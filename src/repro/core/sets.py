@@ -1,14 +1,14 @@
 """GMS Set interface (paper §5.1–5.2, Listing 1) in two layers.
 
 Layer 1 — Catalyst set algebra over array columns. Neighbourhoods are
-sorted integer array columns; ∩ and |∩| map onto Spark SQL array
-functions, so a whole "set-centric" formulation (e.g. triangle counting
-``tc += |N(v) ∩ N(w)|``) stays inside the optimizer. ``intersect`` and
-``intersect_count`` give the paper's names to those Catalyst primitives.
+sorted integer array columns; |∩| maps onto Spark SQL array functions,
+so a whole "set-centric" formulation (triangle counting
+``tc += |N(v) ∩ N(w)|``) stays inside the optimizer.
+``intersect_count`` gives the paper's name to that Catalyst primitive.
 
 Layer 2 — driver/worker-side set representations used inside Python
-kernels (Bron–Kerbosch, run per root by ``Graph.per_root``). Three
-implementations mirror the paper's SortedSet / RoaringSet / HashSet:
+kernels (Bron–Kerbosch and k-clique, run per root by ``Graph.per_root``).
+Three implementations mirror the paper's SortedSet / RoaringSet / HashSet:
 ``SortedSet`` (sorted numpy arrays, merge-based ops — the CSR analog),
 ``BitmapSet`` (one Python int as a bitset, bulk bitwise ops and
 ``int.bit_count()`` — the roaring-bitmap analog), ``HashSet`` (Python
@@ -24,11 +24,6 @@ from pyspark.sql import functions as F
 # --------------------------------------------------------------------------
 # Layer 1: Catalyst set algebra over array<long> columns.
 # --------------------------------------------------------------------------
-
-
-def intersect(a: Column, b: Column) -> Column:
-    """A ∩ B as a new array column (sorted for canonical comparisons)."""
-    return F.array_sort(F.array_intersect(a, b))
 
 
 def intersect_count(a: Column, b: Column) -> Column:

@@ -12,9 +12,9 @@ roots):
 3. ``Graph.per_root`` runs the kernel over a broadcast of
    ``Graph.collect_adjacency`` and the collected ranks — the paper's
    shared-memory graph, as for SI — with roots dealt heaviest (highest
-   degree) first. Per root it marks P within S = N(v) by the rule
-   ``Graph.oriented`` uses ((rank, vertex) compared lexicographically;
-   Eppstein et al.'s per-root split), takes X = S ∖ P, then:
+   degree) first. Per root it marks P within S = N(v) with
+   ``ranked_after`` ((rank, vertex) compared lexicographically, as for
+   k-clique; Eppstein et al.'s per-root split), takes X = S ∖ P, then:
    * ``subgraph_opt=True`` (the ADG-S variant): relabels S to
      0..|S|−1 and restricts every N(u) to S — the precomputed subgraph H
      of Eppstein et al. used for pivot selection *and* the P/X
@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.core.graph import Graph
+from repro.core.graph import Graph, ranked_after
 from repro.core.sets import make_set_factory
 from repro.orderings.adg import adg_order
 from repro.orderings.degeneracy import degeneracy_order
@@ -104,7 +104,6 @@ def bk_maximal_cliques(
     order: str | DataFrame = "adg",
     set_repr: str = "sorted",
     subgraph_opt: bool = False,
-    epsilon: float = 0.1,
     num_partitions: int | None = None,
 ) -> DataFrame:
     """All maximal cliques as (root, clique sorted array<long>) rows.
@@ -114,7 +113,7 @@ def bk_maximal_cliques(
     optimisation respectively); ``num_partitions`` caps task parallelism
     for the Fig. 8b scaling analysis.
     """
-    order_df = resolve_order(graph, order, epsilon)
+    order_df = resolve_order(graph, order)
     rank = {int(r["vertex"]): r["rank"] for r in order_df.collect()}
     nbrs = graph.collect_adjacency()
     # ``nbrs`` is empty on an edgeless graph
@@ -122,8 +121,7 @@ def bk_maximal_cliques(
 
     def kernel(shared, root: int) -> list[tuple[int, list[int]]]:
         nbrs, rank = shared
-        key = (rank[root], root)
-        in_p = np.array([(rank[u], u) > key for u in nbrs[root].tolist()], dtype=bool)
+        in_p = ranked_after(rank, root, nbrs[root])
         return [(root, c) for c in _root_cliques(root, in_p, nbrs, make, subgraph_opt)]
 
     roots = sorted(nbrs, key=lambda v: (-nbrs[v].size, v))

@@ -1,117 +1,65 @@
-"""k-clique listing/counting — Danisch et al. reformulated with set algebra
+"""k-clique counting — Danisch et al. reformulated with set algebra
 (paper §6.3, Algorithm 7).
 
-The whole search stays in Catalyst: orient the graph by a pluggable
-ordering η (edge (v,u) exists iff η(v) < η(u), Alg. 7 line 9), then grow
-candidate sets level by level with
+N+(v) holds the neighbours of v ranked after it by a pluggable ordering
+η (Alg. 7 line 9), so each k-clique is found once. A root holds a
+candidate set C, and the kernel recurses with C' = C ∩ N+(v) for each
+v ∈ C (line 19) down to level k − 1, where it adds |C| (line 15). The
+same recursion covers triangle counting (k = 3) upward.
 
-    C_{i+1} = N+(v) ∩ C_i            (Alg. 7 line 19)
-
-as an ``array_intersect`` join, and finish with Σ|C_k| (line 15). This
-is exactly the paper's "one formulation for all k ≥ 3" point — the same
-loop covers triangle counting (k=3) upward.
-
-Strategies (§7.2's work/depth/space trade-off):
-* ``node`` — parallelise over vertices: frontier starts as
-  (members=[u], cand=N+(u)); fewer, larger tasks (GBBS-style).
-* ``edge`` — parallelise over oriented edges: frontier starts as
-  (members=[u,v], cand=N+(u) ∩ N+(v)); more, smaller tasks, better
-  balance (the Danisch et al. edge-parallel variant).
+``Graph.per_root`` runs the kernel over a broadcast of every N+(v) as a
+``BitmapSet``, the paper's shared-memory graph. The strategies are the
+node- and edge-rooted searches of Danisch, Balalau and Sozio ("Listing
+k-cliques in sparse real-world graphs", WWW'18), §7.2's trade-off:
+* ``node`` — one root per vertex u, C = N+(u): fewer, larger tasks
+  (GBBS-style);
+* ``edge`` — one root per oriented edge (u, v), C = N+(u) ∩ N+(v):
+  more, smaller tasks, better balance.
 """
 from __future__ import annotations
 
 import math
 
-from pyspark.sql import DataFrame, Observation
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
-from repro.core import sets
-from repro.core.graph import Graph
+from repro.core.graph import Graph, ranked_after
+from repro.core.sets import BitmapSet
 from repro.core.work_depth import WorkDepthRecorder
 from repro.mining.bron_kerbosch import resolve_order
 
 
-def _oriented_adj(graph: Graph, order_df: DataFrame) -> DataFrame:
-    return graph.oriented(order_df).select("vertex", "out_nbrs")
+def _grow(C: BitmapSet, i: int, sets: dict[int, BitmapSet], sums: list[int]) -> None:
+    """Add |C| to ``sums[i]``, then recurse with C ∩ N+(v) for v ∈ C to the last level."""
+    sums[i] += C.cardinality()
+    if i + 1 < len(sums):
+        for v in C.to_list():
+            _grow(C.intersect(sets[v]), i + 1, sets, sums)
 
 
-def _frontier(odj: DataFrame, strategy: str) -> tuple[DataFrame, int]:
-    """Initial (members, cand) frontier and its clique level."""
-    if strategy == "node":
-        f = odj.select(F.array("vertex").alias("members"),
-                       F.col("out_nbrs").alias("cand"))
-        return f, 1
-    if strategy == "edge":
-        e = odj.select(F.col("vertex").alias("u"),
-                       F.explode("out_nbrs").alias("v"),
-                       F.col("out_nbrs").alias("u_out"))
-        f = (
-            e.join(odj.select(F.col("vertex").alias("v"),
-                              F.col("out_nbrs").alias("v_out")), "v")
-            .select(F.array("u", "v").alias("members"),
-                    sets.intersect(F.col("u_out"), F.col("v_out")).alias("cand"))
-        )
-        return f, 2
-    raise ValueError(f"unknown strategy {strategy!r}; 'node' or 'edge'")
-
-
-def _grow(frontier: DataFrame, odj: DataFrame) -> DataFrame:
-    """One backtracking level: members+v with cand ∩ N+(v)."""
-    ex = frontier.select(
-        "members", "cand", F.explode("cand").alias("v")
-    )
-    return (
-        ex.join(odj.select(F.col("vertex").alias("v"),
-                           F.col("out_nbrs").alias("v_out")), "v")
-        .select(
-            F.concat("members", F.array("v")).alias("members"),
-            sets.intersect(F.col("cand"), F.col("v_out")).alias("cand"),
-        )
-        .where(F.size("cand") > 0)
-    )
-
-
-def _grow_to(frontier: DataFrame, level: int, k: int, odj: DataFrame
-             ) -> tuple[DataFrame, list[tuple[DataFrame, Observation]]]:
-    """Grow a level-``level`` frontier to level k − 1.
-
-    Returns the last frontier and every grown level with its Σ|cand|
-    observed by whichever job computes it.
-    """
-    levels = []
-    while level < k - 1:
-        obs = Observation()
-        frontier = _grow(frontier, odj).observe(obs, F.sum(F.size("cand")).alias("s"))
-        levels.append((frontier, obs))
-        level += 1
-    return frontier, levels
-
-
-def _cand_sum(frontier: DataFrame) -> int:
-    """Σ|C| over the frontier (Alg. 7 line 15), in one aggregation job."""
-    return int(frontier.agg(F.sum(F.size("cand"))).first()[0] or 0)
-
-
-def _count(frontier: DataFrame, level: int, k: int, odj: DataFrame,
+def _count(graph: Graph, sets: dict[int, BitmapSet], edge: bool, k: int,
            rec: WorkDepthRecorder | None) -> int:
-    """Σ|C_k| from a level-``level`` frontier (Alg. 7 line 15).
+    """Σ|C| at level k − 1 (Alg. 7 line 15) from vertex or ``edge`` roots.
 
-    ``rec`` gets one round per grown level plus the final count; work is
-    Σ|cand| of each. The final aggregation's job fills the observations,
-    so recording launches no job of its own, except when the count is 0.
-    Then some level is empty, and adaptive execution may prune the levels
-    below it, and their observations, from the executed plan; each level
-    is aggregated again instead.
+    Roots are listed largest set first. ``rec`` gets one round per grown
+    level plus the final count; work is Σ|C| of each.
     """
-    frontier, levels = _grow_to(frontier, level, k, odj)
-    total = _cand_sum(frontier)
+    heavy = sorted(sets, key=lambda v: (-sets[v].cardinality(), v))
+    roots = [(u, v) for u in heavy for v in sets[u].to_list()] if edge else heavy
+    depth = k - 2 if edge else k - 1
+
+    def kernel(sets, root) -> list[tuple[int, ...]]:
+        C = sets[root[0]].intersect(sets[root[1]]) if edge else sets[root]
+        sums = [0] * depth
+        _grow(C, 0, sets, sums)
+        return [tuple(sums)]
+
+    sums = graph.per_root(sets, roots, kernel).fold(
+        (0,) * depth, lambda a, b: tuple(map(sum, zip(a, b))))
     if rec is not None:
-        for f, obs in levels:
+        for s in (*sums[1:], sums[-1]):  # the grown levels, then the count
             rec.round()
-            rec.touch(_cand_sum(f) if total == 0 else obs.get["s"])
-        rec.round()
-        rec.touch(total)
-    return total
+            rec.touch(s)
+    return sums[-1]
 
 
 def kclique_count(
@@ -125,13 +73,17 @@ def kclique_count(
     """Number of k-cliques (k ≥ 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if strategy not in ("node", "edge"):
+        raise ValueError(f"unknown strategy {strategy!r}; 'node' or 'edge'")
     if k == 1:
         return graph.num_vertices()
     if k == 2:
         return graph.num_edges()
     order_df = resolve_order(graph, order, epsilon)
-    odj = _oriented_adj(graph, order_df).localCheckpoint(eager=True)
-    return _count(*_frontier(odj, strategy), k, odj, recorder)
+    rank = {int(r["vertex"]): r["rank"] for r in order_df.collect()}
+    sets = {v: BitmapSet(s[ranked_after(rank, v, s)])
+            for v, s in graph.collect_adjacency().items()}
+    return _count(graph, sets, strategy == "edge", k, recorder)
 
 
 def kclique_count_naive(graph: Graph, k: int,
@@ -139,33 +91,11 @@ def kclique_count_naive(graph: Graph, k: int,
     """Framework-analog baseline: unoriented exhaustive search (Fig. 9).
 
     Grows candidate sets over *full* neighbourhoods with no vertex
-    ordering, so every k-clique is found k! times and the frontier is
+    ordering, so every k-clique is found k! times and the search is
     not pruned by orientation — the "programming-abstraction overhead"
     regime the paper measures for Peregrine/RStream (10–100× slower).
     """
     if k < 3:
         raise ValueError("naive baseline defined for k >= 3")
-    adj = graph.adjacency().select("vertex", F.col("nbrs").alias("out_nbrs"))
-    adj = adj.localCheckpoint(eager=True)
-    frontier = adj.select(F.array("vertex").alias("members"),
-                          F.col("out_nbrs").alias("cand"))
-    return _count(frontier, 1, k, adj, recorder) // math.factorial(k)
-
-
-def kclique_list(
-    graph: Graph,
-    k: int,
-    order: str | DataFrame = "dgr",
-    strategy: str = "edge",
-    epsilon: float = 0.1,
-) -> DataFrame:
-    """All k-cliques as (members sorted array<long>) rows, k ≥ 3."""
-    if k < 3:
-        raise ValueError("listing supported for k >= 3")
-    order_df = resolve_order(graph, order, epsilon)
-    odj = _oriented_adj(graph, order_df).localCheckpoint(eager=True)
-    frontier, _ = _grow_to(*_frontier(odj, strategy), k, odj)
-    return (
-        frontier.select("members", F.explode("cand").alias("last"))
-        .select(F.array_sort(F.concat("members", F.array("last"))).alias("members"))
-    )
+    sets = {v: BitmapSet(s) for v, s in graph.collect_adjacency().items()}
+    return _count(graph, sets, False, k, recorder) // math.factorial(k)

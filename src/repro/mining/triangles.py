@@ -7,11 +7,12 @@ sum is divided by 3. Everything stays in Catalyst: two joins +
 array_intersect.
 
 The oriented variant, |N+(u) ∩ N+(v)| under a degree ordering (Table
-4's "degree reordering" row), is ``kclique_count(g, 3, order="deg")``.
-It finds each triangle once, not three times, and intersects smaller
-sets, but it launches more Spark jobs (ordering, orientation, frontier
-levels), and at the sizes this suite runs those cost more than the
-extra set work.
+4's "degree reordering" row), is ``kclique_count(g, 3, order="deg")``,
+a per-root Python kernel over bitmap sets. It finds each triangle once,
+not three times, and intersects smaller sets; on the Table 7 graphs it
+launches 4 Spark jobs to this function's 5 and takes less time (ROADMAP,
+``triangles.py`` follow-up). This function still serves ``Graph.stats``,
+whose per-vertex counts come from the same per-edge intersections.
 """
 from __future__ import annotations
 

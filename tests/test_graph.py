@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graph import Graph
+from repro.core.graph import Graph, ranked_after
 from repro.graphs import generators as gen
 from repro.graphs.reference import nx_graph
 
@@ -79,6 +79,20 @@ def test_oriented_includes_sinks_with_empty_sets(tri_graph):
     out = tri_graph.oriented(degree_order(tri_graph))
     assert out.count() == tri_graph.num_vertices()
     assert sum(len(r["out_nbrs"]) for r in out.collect()) == tri_graph.num_edges()
+
+
+@pytest.mark.parametrize("order", ["deg", "zero"])
+def test_ranked_after_matches_oriented(spark, order):
+    """The kernels' N+(v) equals Catalyst's, also when every rank ties."""
+    from repro.orderings.degree import degree_order
+
+    g = Graph.from_pandas(spark, gen.erdos_renyi(40, 0.2, seed=14))
+    order_df = (degree_order(g) if order == "deg"
+                else g.degrees().select("vertex", F.lit(0).cast("long").alias("rank")))
+    rank = {r["vertex"]: r["rank"] for r in order_df.collect()}
+    nbrs = g.collect_adjacency()
+    got = {v: s[ranked_after(rank, v, s)].tolist() for v, s in nbrs.items()}
+    assert got == {r["vertex"]: r["out_nbrs"] for r in g.oriented(order_df).collect()}
 
 
 def test_stats_on_known_graph(tri_graph):

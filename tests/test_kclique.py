@@ -1,4 +1,4 @@
-"""k-clique counting/listing vs brute-force oracle (paper Alg. 7)."""
+"""k-clique counting vs brute-force oracle (paper Alg. 7)."""
 import pandas as pd
 import pytest
 from itertools import combinations
@@ -7,7 +7,7 @@ from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
 from repro.graphs.reference import ref_kclique_count
-from repro.mining.kclique import kclique_count, kclique_count_naive, kclique_list
+from repro.mining.kclique import kclique_count, kclique_count_naive
 from repro.orderings.degeneracy import degeneracy_order
 
 
@@ -60,36 +60,25 @@ def test_k6_on_planted(planted_graph):
 
 
 def test_zero_cliques_on_road(spark):
+    """A triangle-free grid, and an edgeless graph (self-loops are dropped)."""
     pdf = gen.grid_road(8, 8)
     g = Graph.from_pandas(spark, pdf)
     assert kclique_count(g, 3) == 0
     assert kclique_count(g, 4) == 0
+    edgeless = Graph.from_pandas(spark, pd.DataFrame({"src": [0, 1], "dst": [0, 1]}))
+    for k in (3, 4):
+        assert kclique_count(edgeless, k, strategy="node") == 0
+        assert kclique_count(edgeless, k, strategy="edge") == 0
+        assert kclique_count_naive(edgeless, k) == 0
 
 
-def test_listing_members(spark):
+def test_k4_plus_pendant(spark):
     # K4 on {0..3} plus pendant: exactly one 4-clique, four triangles
     edges = list(combinations(range(4), 2)) + [(3, 4)]
     pdf = pd.DataFrame(edges, columns=["src", "dst"])
     g = Graph.from_pandas(spark, pdf)
-    rows = kclique_list(g, 4).collect()
-    assert [r["members"] for r in rows] == [[0, 1, 2, 3]]
-    tri = sorted(tuple(r["members"]) for r in kclique_list(g, 3).collect())
-    assert tri == sorted(map(tuple, combinations(range(4), 3)))
-
-
-def test_listing_matches_count(planted_graph):
-    pdf, g = planted_graph
-    assert kclique_list(g, 4).count() == kclique_count(g, 4)
-    # listed cliques are distinct and really cliques
-    rows = [tuple(r["members"]) for r in kclique_list(g, 4).collect()]
-    assert len(rows) == len(set(rows))
-    import networkx as nx
-
-    from repro.graphs.reference import nx_graph
-
-    nxg = nx_graph(pdf)
-    for mem in rows[:50]:
-        assert all(nxg.has_edge(a, b) for a, b in combinations(mem, 2))
+    assert kclique_count(g, 3) == 4
+    assert kclique_count(g, 4) == 1
 
 
 def test_invalid_args(er_graph):
@@ -98,8 +87,6 @@ def test_invalid_args(er_graph):
         kclique_count(g, 0)
     with pytest.raises(ValueError):
         kclique_count(g, 4, strategy="hyper")
-    with pytest.raises(ValueError):
-        kclique_list(g, 2)
 
 
 def test_recorder_tracks_levels(er_graph):
@@ -112,10 +99,10 @@ def test_recorder_tracks_levels(er_graph):
 
 
 def test_recorder_launches_no_extra_jobs(planted_graph, count_jobs):
-    """Recording observes each level inside the final aggregation's job.
+    """Each task returns its levels' sums with its count, so recording adds no job.
 
-    Σ|cand| at a level lists every clique one vertex larger than the
-    members, so the recorded work is a sum of clique counts.
+    Σ|C| at a level lists every clique one vertex larger than the
+    vertices chosen so far, so the recorded work is a sum of clique counts.
     """
     pdf, g = planted_graph
     order = degeneracy_order(g).localCheckpoint(eager=True)
@@ -149,7 +136,7 @@ def test_recorder_when_a_level_is_empty(spark):
 
 
 def test_independent_of_shuffle_partitions(spark, planted_graph):
-    """Counts and listed cliques do not depend on spark.sql.shuffle.partitions."""
+    """Counts do not depend on spark.sql.shuffle.partitions."""
     pdf, _ = planted_graph
     before = spark.conf.get("spark.sql.shuffle.partitions")
     got = []
@@ -157,10 +144,18 @@ def test_independent_of_shuffle_partitions(spark, planted_graph):
         for parts in ("1", "64"):
             spark.conf.set("spark.sql.shuffle.partitions", parts)
             g = Graph.from_pandas(spark, pdf)
-            listed = sorted(tuple(r["members"]) for r in kclique_list(g, 4).collect())
             got.append((kclique_count(g, 4, strategy="node"),
-                        kclique_count(g, 4, strategy="edge"), listed))
+                        kclique_count(g, 4, strategy="edge")))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", before)
-    assert got[0] == got[1]
-    assert got[0][0] == got[0][1] == len(got[0][2]) == ref_kclique_count(pdf, 4)
+    assert got[0] == got[1] == (ref_kclique_count(pdf, 4),) * 2
+
+
+def test_warm_call_launches_at_most_three_jobs(planted_graph, count_jobs):
+    """Collect the ranks, collect the adjacency, run the kernel: no orientation."""
+    pdf, g = planted_graph
+    g.adjacency().count()
+    order = degeneracy_order(g).localCheckpoint(eager=True)
+    n, jobs = count_jobs(lambda: kclique_count(g, 4, order=order))
+    assert n == ref_kclique_count(pdf, 4)
+    assert jobs <= 3

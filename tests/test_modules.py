@@ -1,10 +1,12 @@
-"""Every module under ``src/repro`` must be reachable from an artifact.
+"""Structural checks on ``src/repro``, read with ``ast`` and as text.
 
-An artifact is a job (``jobs/*.py``) or the benchmark (``gmsbench/*.py``).
-Imports are read with ``ast``, so imports inside functions count and
+Every module must be reachable from an artifact: a job (``jobs/*.py``)
+or the benchmark (``gmsbench/*.py``). Imports inside functions count and
 nothing is executed. A module that only tests reach has no artifact
 that runs it: delete it, or add it back together with the job that
 reproduces its figure or table.
+
+Every per-root Python kernel runs through ``Graph.per_root``.
 """
 import ast
 from pathlib import Path
@@ -50,3 +52,24 @@ def test_every_module_is_reached_from_an_artifact():
     orphans = sorted(set(modules) - reached - TEST_ONLY)
     assert not orphans, f"modules no job or gmsbench file imports: {orphans}"
     assert TEST_ONLY <= set(modules)
+
+
+# What ships a Python kernel to the executors.
+RUNNER_CALLS = ("parallelize", "broadcast(", "mapInPandas")
+
+
+def test_per_root_is_the_only_kernel_runner():
+    """A second runner would fork the place where per-root kernels are tuned."""
+    graph = SRC / "repro" / "core" / "graph.py"
+    per_root = next(n for n in ast.walk(ast.parse(graph.read_text()))
+                    if isinstance(n, ast.FunctionDef) and n.name == "per_root")
+    inside = range(per_root.lineno, per_root.end_lineno + 1)
+    lines = graph.read_text().splitlines()
+    for call in RUNNER_CALLS[:2]:
+        assert any(call in lines[i - 1] for i in inside), call
+    outside = [f"{p.relative_to(ROOT)}:{i}: {line.strip()}"
+               for p in sorted((SRC / "repro").rglob("*.py"))
+               for i, line in enumerate(p.read_text().splitlines(), 1)
+               if any(c in line for c in RUNNER_CALLS)
+               and not (p == graph and i in inside)]
+    assert not outside, "outside Graph.per_root:\n" + "\n".join(outside)

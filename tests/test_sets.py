@@ -132,11 +132,6 @@ def pairs_df(spark):
     return spark.createDataFrame(pdf)
 
 
-def test_catalyst_intersect(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.intersect(F.col("a"), F.col("b"))).collect()]
-    assert got == [[2, 3], [], [], [4, 5]]
-
-
 def test_catalyst_intersect_count(pairs_df):
     got = [r[0] for r in pairs_df.select(sets.intersect_count(F.col("a"), F.col("b"))).collect()]
     assert got == [2, 0, 0, 2]
