@@ -4,7 +4,8 @@ Two synthetic graphs matched on n, m, m/n (the paper's Livemocha vs
 Flickr-photo pair) whose *origins* differ: planted-clique (clique-rich)
 vs caveman (dense but non-clique clusters). The table shows near-equal
 coarse statistics but wildly different 4-clique counts — the paper's
-point that origin, not size/sparsity, drives mining cost.
+point that origin, not size/sparsity, drives mining cost. ``order_s``
+times the DGR ordering and ``mine4_s`` the 4-clique count under it.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.core.graph import Graph
 from repro.core.metrics import print_table, run_timed
 from repro.graphs import generators as gen
 from repro.mining.kclique import kclique_count
+from repro.orderings.degeneracy import degeneracy_order
 
 
 def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
@@ -30,7 +32,8 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
         s = g.stats()
         res = run_timed(
             gname,
-            kernel=lambda: kclique_count(g, 4, order="dgr"),
+            preprocess=lambda: degeneracy_order(g).localCheckpoint(eager=True),
+            kernel=lambda order: kclique_count(g, 4, order=order),
             count=lambda out: out,
         )
         rows.append(
@@ -41,6 +44,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
                 "m/n": round(s["m_over_n"], 2),
                 "T": s["T"],
                 "4cliques": res.pattern_count,
+                "order_s": round(res.preprocess_s, 3),
                 "mine4_s": round(res.runtime_s, 3),
             }
         )

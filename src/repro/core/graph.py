@@ -67,13 +67,20 @@ class Graph:
                                       F.col("src").alias("dst")))
 
     def adjacency(self) -> DataFrame:
-        """(vertex, nbrs sorted array, deg). Cached: every algorithm reuses it."""
+        """(vertex, nbrs sorted array, deg), cached with one partition per core.
+
+        Every algorithm reuses it. Adaptive execution may not shrink a
+        cached plan's output partitioning, so the coalesce is explicit:
+        without it every scan runs ``spark.sql.shuffle.partitions`` tasks.
+        """
         if self._adj is None:
+            sc = self.edges.sparkSession.sparkContext
             self._adj = (
                 self.symmetric_edges()
                 .groupBy(F.col("src").alias("vertex"))
                 .agg(F.array_sort(F.collect_list("dst")).alias("nbrs"))
                 .withColumn("deg", F.size("nbrs"))
+                .coalesce(sc.defaultParallelism)
                 .cache()
             )
         return self._adj

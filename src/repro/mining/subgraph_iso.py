@@ -25,11 +25,15 @@ additionally requires query non-edges to map to target non-edges.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.graph import Graph
+
+if TYPE_CHECKING:  # per-root kernels import this module in every Python worker
+    import pandas as pd
 
 
 def _plan(query_edges: pd.DataFrame, query_labels: pd.DataFrame) -> tuple[list[int], dict]:

@@ -11,7 +11,7 @@ O(log n) rounds; the round count is surfaced through a
 ``WorkDepthRecorder`` so Tables 5/6 can be validated empirically.
 
 DGR is the threshold rule k ← max(k, min live degree) over the peeling
-engine of ``peel.py``, which runs each round as two Spark jobs.
+engine of ``peel.py``, which runs each round as one Spark job.
 """
 from __future__ import annotations
 

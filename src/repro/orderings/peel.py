@@ -7,12 +7,13 @@ the live degrees' (min, sum, count). As in Julienne's bucketed peeling
 (Dhulipala, Blelloch, Shun, SPAA'17), degrees are updated incrementally
 (N(v) ← N(v) ∖ B), never recomputed from the edge list.
 
-State is one checkpointed DataFrame (vertex, nbrs, deg, round, level);
-``nbrs`` and ``deg`` turn null when the vertex is removed, and ``round``
-and ``level`` record when and at which threshold. A round is two Spark
-jobs: collect B (at most n IDs), then checkpoint one narrow projection
-that applies the set differences and stamps B; that job also observes
-the next round's statistics. Ranks follow (round, vertex), assigned once.
+State is one checkpointed DataFrame of the live rows (vertex, nbrs). A
+round is one Spark job: it collects the (vertex, |N(v)|) pairs of the
+state, from which the driver takes the statistics, the threshold t and
+B = {v : |N(v)| ≤ t}. The next state keeps the rows with |N(v)| > t and
+drops B from their neighbourhoods with one array literal; the next
+round's job materialises it. Ranks follow (round, vertex), assigned on
+the driver.
 
 The work proxy counts the elements the set differences read: Σ live
 |N(v)| + |B| per round.
@@ -21,19 +22,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from pyspark.sql import DataFrame, Observation, Window
+import numpy as np
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
-
-
-def _observed(state: DataFrame) -> tuple[DataFrame, dict]:
-    """Materialise ``state``; its live-degree stats come from the same job."""
-    obs = Observation()
-    state = state.observe(obs, F.min("deg").alias("lo"), F.sum("deg").alias("s"),
-                          F.count("deg").alias("u")).localCheckpoint(eager=True)
-    return state, obs.get
 
 
 def peel(
@@ -44,35 +38,34 @@ def peel(
     """(vertex, rank, level): peeling order and each vertex's removal threshold.
 
     ``rule(min, sum, count)`` of the live degrees returns the round's
-    threshold; it must be ≥ the min, so that no batch is empty.
+    threshold; it must be ≥ the min, so that no batch is empty. The
+    result is a local relation: reading it launches no Spark job.
     """
+    import pandas as pd  # BK and k-clique workers import this module
+
     rec = recorder or WorkDepthRecorder()
-    adj = graph.adjacency()  # a few thousand rows: one partition per core
-    adj = adj.coalesce(adj.sparkSession.sparkContext.defaultParallelism)
-    state, live = _observed(adj.select(
-        "vertex", "nbrs", "deg",
-        F.lit(None).cast("int").alias("round"),
-        F.lit(None).cast("double").alias("level"),
-    ))
-    rnd = 0
-    while live["u"]:
-        t = rule(live["lo"], live["s"], live["u"])
-        batch = [r[0] for r in state.where(F.col("deg") <= t).select("vertex").collect()]
+    state = graph.adjacency().select("vertex", "nbrs")
+    live = state.select("vertex", F.size("nbrs")).collect()
+    order: list[int] = []  # removed vertices, batch by batch
+    levels: list[float] = []
+    while live:
+        degs = [d for _, d in live]
+        s = sum(degs)
+        t = rule(min(degs), s, len(degs))
+        batch = sorted(v for v, d in live if d <= t)
         rec.round()
-        rec.touch(live["s"] + len(batch))
-        gone = F.col("vertex").isin(batch)
-        state = state.select(
-            "vertex",
-            F.when(F.col("deg").isNotNull() & ~gone,
-                   F.array_except("nbrs", F.lit(batch).cast("array<long>"))).alias("nbrs"),
-            F.when(gone, F.lit(rnd)).otherwise(F.col("round")).alias("round"),
-            F.when(gone, F.lit(float(t))).otherwise(F.col("level")).alias("level"),
-        ).withColumn("deg", F.when(F.col("nbrs").isNotNull(), F.size("nbrs")))
-        rnd += 1
-        if len(batch) == live["u"]:  # nothing left: skip observing an empty state
+        rec.touch(s + len(batch))
+        order += batch
+        levels += [float(t)] * len(batch)
+        if len(batch) == len(live):
             break
-        state, live = _observed(state)
-    w = Window.orderBy("round", "vertex")
-    return state.select(
-        "vertex", (F.row_number().over(w) - 1).cast("long").alias("rank"), "level"
-    ).localCheckpoint(eager=True)
+        state = state.where(F.size("nbrs") > t).select(
+            "vertex",
+            F.array_except("nbrs", F.lit(np.asarray(batch, np.int64))).alias("nbrs"),
+        ).localCheckpoint(eager=False)
+        live = state.select("vertex", F.size("nbrs")).collect()
+    pdf = pd.DataFrame({"vertex": np.asarray(order, np.int64),
+                        "rank": np.arange(len(order), dtype=np.int64),
+                        "level": np.asarray(levels, np.float64)})
+    return graph.edges.sparkSession.createDataFrame(
+        pdf, "vertex long, rank long, level double")

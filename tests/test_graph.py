@@ -128,3 +128,15 @@ def test_per_root_deals_each_root_once(spark, tri_graph, n_roots, num_partitions
     assert rdd.getNumPartitions() == n
     assert rdd.glom().collect() == [[(r, "shared") for r in roots[i::n]]
                                     for i in range(n)]
+
+
+def test_adjacency_has_one_partition_per_core(spark):
+    """A cached plan keeps its shuffle partitions, unless adjacency coalesces."""
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    try:
+        spark.conf.set("spark.sql.shuffle.partitions", "64")
+        g = Graph.from_pandas(spark, gen.erdos_renyi(60, 0.1, seed=3))
+        parts = g.adjacency().rdd.getNumPartitions()
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert parts <= spark.sparkContext.defaultParallelism

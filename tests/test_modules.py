@@ -6,9 +6,13 @@ nothing is executed. A module that only tests reach has no artifact
 that runs it: delete it, or add it back together with the job that
 reproduces its figure or table.
 
-Every per-root Python kernel runs through ``Graph.per_root``.
+Every per-root Python kernel runs through ``Graph.per_root``, and the
+modules its workers import do not import pandas.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +77,19 @@ def test_per_root_is_the_only_kernel_runner():
                if any(c in line for c in RUNNER_CALLS)
                and not (p == graph and i in inside)]
     assert not outside, "outside Graph.per_root:\n" + "\n".join(outside)
+
+
+# What a per-root kernel's Python worker imports: the worker, then the kernel.
+WORKER_IMPORTS = ("pyspark.worker", "repro.mining.bron_kerbosch",
+                  "repro.mining.kclique", "repro.mining.subgraph_iso")
+
+
+def test_kernel_workers_do_not_import_pandas():
+    """pandas and pyarrow take ~0.5 s to import in every fresh Python worker."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = (f"import sys, {', '.join(WORKER_IMPORTS)}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pandas'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -203,13 +203,24 @@ def test_path_core_numbers(spark):
 
 # ---------------- the shared peeling engine --------------------------------
 
-def test_peel_launches_at_most_two_jobs_per_round(spark, count_jobs):
+def test_peel_launches_one_job_per_round(spark, count_jobs):
     g = Graph.from_pandas(spark, gen.barabasi_albert(120, 5, seed=1))
     g.adjacency().count()  # the representation, built before the ordering
     for order in (degeneracy_order, adg_order):
         rec = WorkDepthRecorder()
         _, jobs = count_jobs(lambda: order(g, recorder=rec))
-        assert jobs <= 2 * rec.iterations + 5, order.__name__
+        assert rec.iterations > 1
+        assert jobs <= rec.iterations + 1, order.__name__
+
+
+def test_collecting_an_order_launches_no_job(spark, count_jobs):
+    """BK and k-clique collect the order on the driver: it is a local relation."""
+    g = Graph.from_pandas(spark, gen.barabasi_albert(120, 5, seed=1))
+    for order in (degeneracy_order, adg_order):
+        df = order(g)
+        rows, jobs = count_jobs(df.collect)
+        assert len(rows) == 120
+        assert jobs == 0, order.__name__
 
 
 def test_orderings_independent_of_shuffle_partitions(spark):
