@@ -96,3 +96,21 @@ def count_jobs(spark):
         return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
     return run
+
+
+@pytest.fixture
+def at_1_and_64_partitions(spark):
+    """``run(fn)`` -> [fn() at 1, fn() at 64 shuffle partitions]; the setting is restored."""
+
+    def run(fn):
+        before = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            out = []
+            for parts in ("1", "64"):
+                spark.conf.set("spark.sql.shuffle.partitions", parts)
+                out.append(fn())
+            return out
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", before)
+
+    return run

@@ -15,10 +15,10 @@ listing (Alg. 7 line 9) and of BK's outer split (Alg. 6 line 13). Both
 run as per-root Python kernels, so they take N+(v) from ``ranked_after``
 on collected ranks; ``Graph.oriented`` is the same rule in Catalyst.
 
-All methods but ``collect_adjacency`` and ``per_root`` return DataFrames.
-Triangle counting and the peeling orderings stay in Catalyst; BK, SI and
-k-clique drop into a per-root Python kernel, which ``per_root`` runs
-over a broadcast of, e.g., ``collect_adjacency``.
+All methods but ``collect_adjacency``, ``per_root`` and ``stats`` return
+DataFrames. The peeling orderings stay in Catalyst; BK, SI, k-clique and
+triangle counting drop into a per-root Python kernel, which ``per_root``
+runs over a broadcast of, e.g., ``collect_adjacency``.
 """
 from __future__ import annotations
 
@@ -95,13 +95,14 @@ class Graph:
         return self.edges.count()
 
     def collect_adjacency(self) -> dict[int, np.ndarray]:
-        """{vertex: sorted int64 neighbour array} on the driver.
+        """{vertex: sorted int64 neighbour array} on the driver, by ascending vertex.
 
-        The paper's shared-memory graph: per-root kernels (BK, SI) read it
-        from a broadcast instead of joining neighbourhoods per root.
+        The paper's shared-memory graph: per-root kernels read it from a
+        broadcast instead of joining neighbourhoods per root. The keys are
+        sorted so that no caller sees the adjacency's partition row order.
         """
-        return {int(r["vertex"]): np.asarray(r["nbrs"], dtype=np.int64)
-                for r in self.adjacency().collect()}
+        rows = sorted(self.adjacency().select("vertex", "nbrs").collect())
+        return {int(v): np.asarray(nbrs, dtype=np.int64) for v, nbrs in rows}
 
     def per_root(self, shared, roots: list, kernel, num_partitions: int | None = None
                  ) -> RDD:
@@ -157,23 +158,24 @@ class Graph:
     # -- dataset statistics (Table 7 columns) ----------------------------
 
     def stats(self) -> dict:
-        """n, m, m/n, max degree, T, T/n, max triangles/vertex (T-skew)."""
-        from repro.mining.triangles import triangle_counts_per_vertex
+        """n, m, m/n, max degree, T, T/n, max triangles/vertex (T-skew).
 
-        n = self.num_vertices()
-        m = self.num_edges()
-        dmax = self.degrees().agg(F.max("deg")).first()[0]
-        per_v = triangle_counts_per_vertex(self)
-        agg = per_v.agg(
-            F.sum("triangles").alias("sum_t"), F.max("triangles").alias("max_t")
-        ).first()
-        total_t = int(agg["sum_t"] or 0) // 3  # each triangle counted at 3 corners
+        Two Spark jobs: one collects the adjacency, one runs the per-vertex
+        triangle kernel over it.
+        """
+        from repro.mining.triangles import _per_vertex
+
+        nbrs = self.collect_adjacency()
+        degs = [a.size for a in nbrs.values()]
+        per_v = _per_vertex(self, nbrs).values()
+        n, m = len(degs), sum(degs) // 2
+        total_t = sum(per_v) // 3  # each triangle counted at 3 corners
         return {
             "n": n,
             "m": m,
             "m_over_n": m / n if n else 0.0,
-            "max_deg": int(dmax or 0),
+            "max_deg": max(degs, default=0),
             "T": total_t,
             "T_over_n": total_t / n if n else 0.0,
-            "T_max_per_vertex": int(agg["max_t"] or 0),
+            "T_max_per_vertex": max(per_v, default=0),
         }

@@ -1,39 +1,18 @@
-"""GMS Set interface (paper §5.1–5.2, Listing 1) in two layers.
+"""GMS Set interface (paper §5.1–5.2, Listing 1): the kernel-side sets.
 
-Layer 1 — Catalyst set algebra over array columns. Neighbourhoods are
-sorted integer array columns; |∩| maps onto Spark SQL array functions,
-so a whole "set-centric" formulation (triangle counting
-``tc += |N(v) ∩ N(w)|``) stays inside the optimizer.
-``intersect_count`` gives the paper's name to that Catalyst primitive.
-
-Layer 2 — driver/worker-side set representations used inside Python
-kernels (Bron–Kerbosch and k-clique, run per root by ``Graph.per_root``).
+The Bron–Kerbosch, k-clique and triangle kernels, run per root by
+``Graph.per_root``, do their set algebra with these classes.
 Three implementations mirror the paper's SortedSet / RoaringSet / HashSet:
 ``SortedSet`` (sorted numpy arrays, merge-based ops — the CSR analog),
 ``BitmapSet`` (one Python int as a bitset, bulk bitwise ops and
 ``int.bit_count()`` — the roaring-bitmap analog), ``HashSet`` (Python
 frozenset — Robin-Hood-hashtable analog). They share one interface so a
-kernel is parameterised by the class alone.
+kernel is parameterised by the class alone. Only the peeling orderings
+keep set operations in Catalyst (``orderings/peel.py``).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
-# --------------------------------------------------------------------------
-# Layer 1: Catalyst set algebra over array<long> columns.
-# --------------------------------------------------------------------------
-
-
-def intersect_count(a: Column, b: Column) -> Column:
-    """|A ∩ B| without materialising the intersection order."""
-    return F.size(F.array_intersect(a, b))
-
-
-# --------------------------------------------------------------------------
-# Layer 2: kernel-side set representations (one neighbourhood = one set).
-# --------------------------------------------------------------------------
 
 
 class SortedSet:

@@ -4,8 +4,10 @@
 N+(v) holds the neighbours of v ranked after it by a pluggable ordering
 η (Alg. 7 line 9), so each k-clique is found once. A root holds a
 candidate set C, and the kernel recurses with C' = C ∩ N+(v) for each
-v ∈ C (line 19) down to level k − 1, where it adds |C| (line 15). The
-same recursion covers triangle counting (k = 3) upward.
+v ∈ C (line 19) down to level k − 1, where it adds |C| (line 15).
+Triangle counting shares it: the total is k = 3, and
+``mining/triangles.py`` runs ``_grow`` over the unoriented N(v) for
+per-vertex counts.
 
 ``Graph.per_root`` runs the kernel over a broadcast of every N+(v) as a
 ``BitmapSet``, the paper's shared-memory graph. The strategies are the

@@ -170,20 +170,17 @@ def test_caveman_graph_all_variants_agree(spark):
                 assert got == expected, (order, sg, set_repr)
 
 
-def test_independent_of_partitioning(spark, er_graph):
+def test_independent_of_partitioning(spark, er_graph, at_1_and_64_partitions):
     """Cliques and their roots do not depend on shuffle or kernel partitions."""
     pdf, _ = er_graph
-    before = spark.conf.get("spark.sql.shuffle.partitions")
-    got = []
-    try:
-        for parts in ("1", "64"):
-            spark.conf.set("spark.sql.shuffle.partitions", parts)
-            g = Graph.from_pandas(spark, pdf)
-            for num_partitions in (None, 3):
-                rows = bk_maximal_cliques(g, num_partitions=num_partitions).collect()
-                got.append(sorted((r["root"], tuple(r["clique"])) for r in rows))
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", before)
+
+    def cliques():
+        g = Graph.from_pandas(spark, pdf)
+        return [sorted((r["root"], tuple(r["clique"]))
+                       for r in bk_maximal_cliques(g, num_partitions=p).collect())
+                for p in (None, 3)]
+
+    got = [rows for per_setting in at_1_and_64_partitions(cliques) for rows in per_setting]
     assert all(rows == got[0] for rows in got[1:])
 
 

@@ -1,4 +1,5 @@
 """Tests for the set-centric Graph representation (repro.core.graph)."""
+import networkx as nx
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -111,8 +112,6 @@ def test_stats_match_networkx_on_random_graph(spark):
     nxg = nx_graph(pdf)
     assert s["n"] == nxg.number_of_nodes()
     assert s["m"] == nxg.number_of_edges()
-    import networkx as nx
-
     assert s["T"] == sum(nx.triangles(nxg).values()) // 3
     assert s["max_deg"] == max(d for _, d in nxg.degree())
 
@@ -140,3 +139,31 @@ def test_adjacency_has_one_partition_per_core(spark):
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", before)
     assert parts <= spark.sparkContext.defaultParallelism
+
+
+def test_warm_stats_launches_at_most_three_jobs(spark, count_jobs):
+    """Collect the adjacency, run the per-vertex triangle kernel over it."""
+    pdf = gen.erdos_renyi(120, 0.08, seed=13)
+    g = Graph.from_pandas(spark, pdf)
+    g.adjacency().count()
+    s, jobs = count_jobs(g.stats)
+    assert s["T"] == sum(nx.triangles(nx_graph(pdf)).values()) // 3
+    assert jobs <= 3
+
+
+def test_stats_independent_of_shuffle_partitions(spark, at_1_and_64_partitions):
+    pdf = gen.planted_cliques(3, 5, 60, 100, seed=4)
+    got = at_1_and_64_partitions(lambda: Graph.from_pandas(spark, pdf).stats())
+    assert got[0] == got[1]
+    assert got[0]["T_max_per_vertex"] == max(nx.triangles(nx_graph(pdf)).values())
+
+
+def test_collect_adjacency_in_ascending_vertex_order(spark, at_1_and_64_partitions):
+    """No caller sees the adjacency's row order.
+
+    A graph this small leaves Spark's hash aggregate in hash order.
+    """
+    pdf = gen.erdos_renyi(60, 0.1, seed=3)
+    got = at_1_and_64_partitions(
+        lambda: list(Graph.from_pandas(spark, pdf).collect_adjacency()))
+    assert got[0] == got[1] == sorted(nx_graph(pdf).nodes)

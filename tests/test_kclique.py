@@ -34,10 +34,11 @@ def test_k2_is_m(er_graph):
 
 
 def test_k3_is_triangles(er_graph):
+    """The oriented count equals the unoriented per-vertex counts over 3."""
     pdf, g = er_graph
-    from repro.mining.triangles import triangle_count
+    from repro.mining.triangles import triangle_counts_per_vertex
 
-    assert kclique_count(g, 3) == triangle_count(g)
+    assert kclique_count(g, 3) == sum(triangle_counts_per_vertex(g).values()) // 3
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -135,19 +136,15 @@ def test_recorder_when_a_level_is_empty(spark):
     assert (rec.iterations, rec.set_elements_touched) == (4, 6)
 
 
-def test_independent_of_shuffle_partitions(spark, planted_graph):
+def test_independent_of_shuffle_partitions(spark, planted_graph, at_1_and_64_partitions):
     """Counts do not depend on spark.sql.shuffle.partitions."""
     pdf, _ = planted_graph
-    before = spark.conf.get("spark.sql.shuffle.partitions")
-    got = []
-    try:
-        for parts in ("1", "64"):
-            spark.conf.set("spark.sql.shuffle.partitions", parts)
-            g = Graph.from_pandas(spark, pdf)
-            got.append((kclique_count(g, 4, strategy="node"),
-                        kclique_count(g, 4, strategy="edge")))
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", before)
+
+    def counts():
+        g = Graph.from_pandas(spark, pdf)
+        return kclique_count(g, 4, strategy="node"), kclique_count(g, 4, strategy="edge")
+
+    got = at_1_and_64_partitions(counts)
     assert got[0] == got[1] == (ref_kclique_count(pdf, 4),) * 2
 
 

@@ -7,7 +7,8 @@ that runs it: delete it, or add it back together with the job that
 reproduces its figure or table.
 
 Every per-root Python kernel runs through ``Graph.per_root``, and the
-modules its workers import do not import pandas.
+modules its workers import do not import pandas. The set classes of
+``repro.core.sets`` do not import pyspark.
 """
 import ast
 import os
@@ -81,15 +82,25 @@ def test_per_root_is_the_only_kernel_runner():
 
 # What a per-root kernel's Python worker imports: the worker, then the kernel.
 WORKER_IMPORTS = ("pyspark.worker", "repro.mining.bron_kerbosch",
-                  "repro.mining.kclique", "repro.mining.subgraph_iso")
+                  "repro.mining.kclique", "repro.mining.subgraph_iso",
+                  "repro.mining.triangles")
+
+
+def _loaded(modules: tuple[str, ...], package: str) -> str:
+    """The modules of ``package`` that a fresh interpreter loads to import ``modules``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = (f"import sys, {', '.join(modules)}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def test_kernel_workers_do_not_import_pandas():
     """pandas and pyarrow take ~0.5 s to import in every fresh Python worker."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    code = (f"import sys, {', '.join(WORKER_IMPORTS)}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pandas'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _loaded(WORKER_IMPORTS, "pandas") == "[]"
+
+
+def test_set_layer_does_not_import_pyspark():
+    """The kernel-side sets are the only set algebra in Python; Spark stays out of it."""
+    assert _loaded(("repro.core.sets",), "pyspark") == "[]"

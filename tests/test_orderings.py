@@ -223,16 +223,12 @@ def test_collecting_an_order_launches_no_job(spark, count_jobs):
         assert jobs == 0, order.__name__
 
 
-def test_orderings_independent_of_shuffle_partitions(spark):
+def test_orderings_independent_of_shuffle_partitions(spark, at_1_and_64_partitions):
     pdf = gen.barabasi_albert(120, 4, seed=8)
-    before = spark.conf.get("spark.sql.shuffle.partitions")
-    got = []
-    try:
-        for parts in ("1", "64"):
-            spark.conf.set("spark.sql.shuffle.partitions", parts)
-            g = Graph.from_pandas(spark, pdf)
-            got.append((sorted(core_decomposition(g).collect()),
-                        sorted(adg_order(g).collect())))
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", before)
+
+    def orders():
+        g = Graph.from_pandas(spark, pdf)
+        return sorted(core_decomposition(g).collect()), sorted(adg_order(g).collect())
+
+    got = at_1_and_64_partitions(orders)
     assert got[0] == got[1]

@@ -1,10 +1,7 @@
-"""Unit tests for the GMS Set interface (repro.core.sets), both layers."""
+"""Unit tests for the GMS Set interface (repro.core.sets)."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core import sets
 from repro.core.sets import BitmapSet, HashSet, SortedSet, make_set_factory
 
 REPRS = ["sorted", "bitmap", "hash"]
@@ -14,8 +11,6 @@ UNIVERSE = 64
 def _mk(repr_name, items):
     return make_set_factory(repr_name, UNIVERSE)(items)
 
-
-# ---------- Layer 2: kernel-side set representations ----------------------
 
 @pytest.mark.parametrize("repr_name", REPRS)
 class TestSetRepr:
@@ -117,54 +112,3 @@ def test_sortedset_wraps_numpy():
 
 def test_hashset_tolist_sorted():
     assert HashSet([9, 2, 5]).to_list() == [2, 5, 9]
-
-
-# ---------- Layer 1: Catalyst array set algebra ---------------------------
-
-@pytest.fixture(scope="module")
-def pairs_df(spark):
-    pdf = pd.DataFrame(
-        {
-            "a": [[1, 2, 3], [1], [], [4, 5]],
-            "b": [[2, 3, 4], [2], [1], [4, 5]],
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def test_catalyst_intersect_count(pairs_df):
-    got = [r[0] for r in pairs_df.select(sets.intersect_count(F.col("a"), F.col("b"))).collect()]
-    assert got == [2, 0, 0, 2]
-
-
-def test_catalyst_matches_duckdb_oracle(spark):
-    """Set-intersection cardinality cross-checked relationally in DuckDB."""
-    from repro.oracle import assert_equivalent
-
-    left = pd.DataFrame({"pid": [1, 1, 2, 3], "x": [10, 20, 10, 30]})
-    right = pd.DataFrame({"pid": [1, 2, 2, 3], "x": [10, 10, 40, 31]})
-    ldf = (
-        spark.createDataFrame(left)
-        .groupBy("pid").agg(F.collect_list("x").alias("xs"))
-    )
-    rdf = (
-        spark.createDataFrame(right)
-        .groupBy("pid").agg(F.collect_list("x").alias("xs"))
-    )
-    joined = ldf.join(rdf.withColumnRenamed("xs", "ys"), "pid").select(
-        "pid", sets.intersect_count(F.col("xs"), F.col("ys")).alias("n_common")
-    )
-    assert_equivalent(
-        joined,
-        """
-        SELECT p.pid AS pid,
-               (SELECT count(*) FROM (
-                  SELECT DISTINCT x FROM lt WHERE lt.pid = p.pid
-                  INTERSECT
-                  SELECT DISTINCT x FROM rt WHERE rt.pid = p.pid)) AS n_common
-        FROM (SELECT DISTINCT pid FROM lt
-              INTERSECT SELECT DISTINCT pid FROM rt) p
-        """,
-        lt=left,
-        rt=right,
-    )

@@ -99,20 +99,17 @@ def test_single_vertex_query(spark, labeled_target):
     assert got == int((labels["label"] == 1).sum())
 
 
-def test_independent_of_shuffle_partitions(spark, labeled_target):
+def test_independent_of_shuffle_partitions(spark, labeled_target, at_1_and_64_partitions):
     """Counts do not depend on spark.sql.shuffle.partitions."""
     edges, labels, _ = labeled_target
     qe = pd.DataFrame({"src": [0, 1, 2, 0], "dst": [1, 2, 3, 3]})
     ql = pd.DataFrame({"vertex": [0, 1, 2, 3], "label": [0, 0, 0, 0]})
-    before = spark.conf.get("spark.sql.shuffle.partitions")
-    got = []
-    try:
-        for parts in ("1", "64"):
-            spark.conf.set("spark.sql.shuffle.partitions", parts)
-            g = Graph.from_pandas(spark, edges)
-            got.append([si_count(spark, g, labels, qe, ql, optimized=True,
-                                 work_split=w) for w in (1, 2)])
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", before)
+
+    def counts():
+        g = Graph.from_pandas(spark, edges)
+        return [si_count(spark, g, labels, qe, ql, optimized=True, work_split=w)
+                for w in (1, 2)]
+
+    got = at_1_and_64_partitions(counts)
     assert got[0] == got[1]
     assert got[0][0] == got[0][1] == ref_subgraph_iso_count(edges, labels, qe, ql)

@@ -1,12 +1,12 @@
-"""Triangle counting vs networkx and DuckDB oracles."""
+"""Triangle counting (k-clique with k = 3) vs networkx and DuckDB oracles."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.graphs import generators as gen
 from repro.graphs.reference import ref_triangle_count, ref_triangles_per_vertex
-from repro.mining.triangles import triangle_count, triangle_counts_per_vertex
+from repro.mining.kclique import kclique_count
+from repro.mining.triangles import triangle_counts_per_vertex
 
 
 @pytest.mark.parametrize(
@@ -18,33 +18,33 @@ from repro.mining.triangles import triangle_count, triangle_counts_per_vertex
     ],
 )
 def test_triangle_count_small(spark, pdf, expected):
-    assert triangle_count(Graph.from_pandas(spark, pdf)) == expected
+    assert kclique_count(Graph.from_pandas(spark, pdf), 3, order="deg") == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_triangle_count_matches_networkx_er(spark, seed):
     pdf = gen.erdos_renyi(90, 0.1, seed=seed)
-    assert triangle_count(Graph.from_pandas(spark, pdf)) == ref_triangle_count(pdf)
+    g = Graph.from_pandas(spark, pdf)
+    assert kclique_count(g, 3, order="deg") == ref_triangle_count(pdf)
 
 
 def test_triangle_count_matches_networkx_planted(spark):
     pdf = gen.planted_cliques(3, 5, 60, 100, seed=4)
-    assert triangle_count(Graph.from_pandas(spark, pdf)) == ref_triangle_count(pdf)
+    g = Graph.from_pandas(spark, pdf)
+    assert kclique_count(g, 3, order="deg") == ref_triangle_count(pdf)
 
 
 def test_per_vertex_matches_networkx(spark):
     pdf = gen.erdos_renyi(70, 0.12, seed=5)
     g = Graph.from_pandas(spark, pdf)
-    got = {r["vertex"]: r["triangles"]
-           for r in triangle_counts_per_vertex(g).collect()}
-    assert got == ref_triangles_per_vertex(pdf)
+    assert triangle_counts_per_vertex(g) == ref_triangles_per_vertex(pdf)
 
 
 def test_per_vertex_zero_for_triangle_free(spark):
     pdf = gen.grid_road(6, 6)
     g = Graph.from_pandas(spark, pdf)
-    vals = [r["triangles"] for r in triangle_counts_per_vertex(g).collect()]
-    assert set(vals) == {0}
+    got = triangle_counts_per_vertex(g)
+    assert len(got) == 36 and set(got.values()) == {0}
 
 
 def test_triangle_count_matches_duckdb(spark):
@@ -53,7 +53,7 @@ def test_triangle_count_matches_duckdb(spark):
 
     pdf = gen.erdos_renyi(60, 0.15, seed=6)
     g = Graph.from_pandas(spark, pdf)
-    got = spark.createDataFrame([(triangle_count(g),)], "t long")
+    got = spark.createDataFrame([(kclique_count(g, 3, order="deg"),)], "t long")
     assert_equivalent(
         got,
         """
@@ -63,3 +63,21 @@ def test_triangle_count_matches_duckdb(spark):
         """,
         e=pdf,
     )
+
+
+def test_warm_count_launches_at_most_four_jobs(spark, count_jobs):
+    """Degree order, collect ranks, collect the adjacency, run the kernel."""
+    pdf = gen.planted_cliques(3, 5, 60, 100, seed=4)
+    g = Graph.from_pandas(spark, pdf)
+    g.adjacency().count()
+    t, jobs = count_jobs(lambda: kclique_count(g, 3, order="deg"))
+    assert t == ref_triangle_count(pdf)
+    assert jobs <= 4
+
+
+def test_per_vertex_independent_of_shuffle_partitions(spark, at_1_and_64_partitions):
+    """Same counts, in the same key order, at 1 and 64 shuffle partitions."""
+    pdf = gen.planted_cliques(3, 5, 60, 100, seed=4)
+    got = at_1_and_64_partitions(
+        lambda: list(triangle_counts_per_vertex(Graph.from_pandas(spark, pdf)).items()))
+    assert got[0] == got[1] == sorted(ref_triangles_per_vertex(pdf).items())
