@@ -15,8 +15,9 @@ from pyspark.sql import SparkSession
 def get_spark(app: str) -> SparkSession:
     """The one session builder, shared with the test fixture.
 
-    Broadcast joins are disabled so set-op joins exercise the shuffle
-    path at these scales.
+    The settings mirror gmsbench's ``SPARK_CONF``, so that jobs, tests
+    and the benchmark run one configuration; whether broadcast joins
+    stay disabled is for a benchmark change to decide (ROADMAP item 4).
     """
     return (
         SparkSession.builder.appName(app)

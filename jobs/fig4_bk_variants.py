@@ -47,7 +47,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
     rows = []
     for gname, pdf in graphs_for(sf).items():
         g = Graph.from_pandas(spark, pdf)
-        g.adjacency().count()  # build representation outside the timings
+        g.collect_adjacency()  # build representation outside the timings
         for vname, kw in VARIANTS:
             res = run_timed(
                 vname,

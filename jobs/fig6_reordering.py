@@ -23,7 +23,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
     # youtube regime: very low m/n and T, heavy degree tail
     pdf = gen.barabasi_albert(int(2000 * sf) + 20, 3, seed=21)
     g = Graph.from_pandas(spark, pdf)
-    g.adjacency().count()
+    g.collect_adjacency()  # build representation outside the timings
     variants = [
         ("DGR", lambda rec: degeneracy_order(g, recorder=rec)),
         ("DEG", lambda rec: degree_order(g)),

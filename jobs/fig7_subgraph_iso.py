@@ -28,7 +28,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
     n = int(500 * sf) + 50
     edges, labels = gen.labeled_erdos_renyi(n, 0.05, 2, seed=31)
     g = Graph.from_pandas(spark, edges)
-    g.adjacency().count()
+    g.collect_adjacency()  # build representation outside the timings
     qe, ql = _query()
     ablation = [
         ("VF3-Light(analog) baseline", dict(optimized=False, work_split=1)),

@@ -24,7 +24,7 @@ def run(spark: SparkSession, sf: float = 1.0,
         for avg_deg in degrees:
             pdf = gen.rmat(scale, float(avg_deg), seed=41)
             g = Graph.from_pandas(spark, pdf)
-            g.adjacency().count()
+            g.collect_adjacency()  # build representation outside the timings
             res = run_timed(
                 f"scale={scale} d={avg_deg}",
                 preprocess=lambda: degeneracy_order(g).localCheckpoint(eager=True),

@@ -22,7 +22,7 @@ def run(spark: SparkSession, sf: float = 1.0,
         partitions=(1, 2, 4, 8, 16)) -> list[dict]:
     pdf = gen.barabasi_albert(int(1500 * sf) + 10, 6, seed=51)
     g = Graph.from_pandas(spark, pdf)
-    g.adjacency().count()
+    g.collect_adjacency()  # build representation outside the timings
     order_df = resolve_order(g, "adg").localCheckpoint(eager=True)
     # work proxy: total subproblem set sizes (independent of parallelism)
     rows = []

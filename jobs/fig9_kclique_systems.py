@@ -35,7 +35,7 @@ def run(spark: SparkSession, sf: float = 1.0, ks=(4, 5)) -> list[dict]:
     rows = []
     for gname, pdf in graphs.items():
         g = Graph.from_pandas(spark, pdf)
-        g.adjacency().count()
+        g.collect_adjacency()  # build representation outside the timings
         for k in ks:
             for sname, kw in systems:
                 rec = WorkDepthRecorder()

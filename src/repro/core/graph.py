@@ -15,10 +15,11 @@ listing (Alg. 7 line 9) and of BK's outer split (Alg. 6 line 13). Both
 run as per-root Python kernels, so they take N+(v) from ``ranked_after``
 on collected ranks; ``Graph.oriented`` is the same rule in Catalyst.
 
-All methods but ``collect_adjacency``, ``per_root`` and ``stats`` return
-DataFrames. The peeling orderings stay in Catalyst; BK, SI, k-clique and
-triangle counting drop into a per-root Python kernel, which ``per_root``
-runs over a broadcast of, e.g., ``collect_adjacency``.
+``collect_adjacency`` is the one driver-side form, collected at most once
+per ``Graph``: DEG and ID sort it, peeling reads its first round from it,
+and ``per_root`` runs the BK, SI, k-clique and triangle kernels over a
+broadcast of it. All methods but it, ``per_root`` and ``stats`` return
+DataFrames.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ class Graph:
         ).where(F.col("src") != F.col("dst")).dropDuplicates(["src", "dst"])
         self.edges = e
         self._adj: DataFrame | None = None
+        self._nbrs: dict[int, np.ndarray] | None = None
 
     @classmethod
     def from_pandas(cls, spark: SparkSession, pdf: pd.DataFrame) -> "Graph":
@@ -85,9 +87,6 @@ class Graph:
             )
         return self._adj
 
-    def degrees(self) -> DataFrame:
-        return self.adjacency().select("vertex", "deg")
-
     def num_vertices(self) -> int:
         return self.adjacency().count()
 
@@ -100,9 +99,13 @@ class Graph:
         The paper's shared-memory graph: per-root kernels read it from a
         broadcast instead of joining neighbourhoods per root. The keys are
         sorted so that no caller sees the adjacency's partition row order.
+        Only the first call runs a Spark job; every later call returns the
+        same dict, so callers must not mutate it or its arrays.
         """
-        rows = sorted(self.adjacency().select("vertex", "nbrs").collect())
-        return {int(v): np.asarray(nbrs, dtype=np.int64) for v, nbrs in rows}
+        if self._nbrs is None:
+            rows = sorted(self.adjacency().select("vertex", "nbrs").collect())
+            self._nbrs = {int(v): np.asarray(nbrs, dtype=np.int64) for v, nbrs in rows}
+        return self._nbrs
 
     def per_root(self, shared, roots: list, kernel, num_partitions: int | None = None
                  ) -> RDD:
@@ -160,14 +163,12 @@ class Graph:
     def stats(self) -> dict:
         """n, m, m/n, max degree, T, T/n, max triangles/vertex (T-skew).
 
-        Two Spark jobs: one collects the adjacency, one runs the per-vertex
-        triangle kernel over it.
+        One Spark job, the per-vertex triangle kernel, once the adjacency is collected.
         """
-        from repro.mining.triangles import _per_vertex
+        from repro.mining.triangles import triangle_counts_per_vertex
 
-        nbrs = self.collect_adjacency()
-        degs = [a.size for a in nbrs.values()]
-        per_v = _per_vertex(self, nbrs).values()
+        degs = [a.size for a in self.collect_adjacency().values()]
+        per_v = triangle_counts_per_vertex(self).values()
         n, m = len(degs), sum(degs) // 2
         total_t = sum(per_v) // 3  # each triangle counted at 3 corners
         return {

@@ -128,7 +128,3 @@ def bk_maximal_cliques(
     rows = graph.per_root((nbrs, rank), roots, kernel, num_partitions)
     return graph.edges.sparkSession.createDataFrame(rows, "root long, clique array<long>")
 
-
-def bk_count(graph: Graph, **kwargs) -> int:
-    """Number of maximal cliques (forces the full computation)."""
-    return bk_maximal_cliques(graph, **kwargs).count()

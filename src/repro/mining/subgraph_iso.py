@@ -125,13 +125,11 @@ def si_count(
     order, qadj = _plan(query_edges, query_labels)
     qlab = {int(v): int(l) for v, l in
             query_labels[["vertex", "label"]].itertuples(index=False, name=None)}
-    # collect + broadcast the target (the paper's shared-memory graph)
-    tadj = target.collect_adjacency()
+    # broadcast the target (the paper's shared-memory graph)
     tlab = {int(v): int(l) for v, l in
             target_labels[["vertex", "label"]].itertuples(index=False, name=None)}
-    # label-only vertices (degree 0) still valid assignment targets
-    for v in tlab:
-        tadj.setdefault(v, np.empty(0, dtype=np.int64))
+    # label-only (degree 0) targets go into a copy: the graph's adjacency is shared
+    tadj = {**dict.fromkeys(tlab, np.empty(0, np.int64)), **target.collect_adjacency()}
 
     # precomputed candidate sets per query vertex: label match, and with
     # the optimisation also the degree lower bound

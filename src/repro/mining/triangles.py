@@ -13,16 +13,14 @@ triangle through v twice.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.graph import Graph
 from repro.core.sets import BitmapSet
 from repro.mining.kclique import _grow
 
 
-def _per_vertex(graph: Graph, nbrs: dict[int, np.ndarray]) -> dict[int, int]:
-    """``triangle_counts_per_vertex`` over an adjacency already collected."""
-    sets = {v: BitmapSet(s) for v, s in nbrs.items()}
+def triangle_counts_per_vertex(graph: Graph) -> dict[int, int]:
+    """{vertex: triangles through it} in ascending vertex order; 0 for none."""
+    sets = {v: BitmapSet(s) for v, s in graph.collect_adjacency().items()}
 
     def kernel(sets, v) -> list[tuple[int, int]]:
         sums = [0, 0]
@@ -30,8 +28,3 @@ def _per_vertex(graph: Graph, nbrs: dict[int, np.ndarray]) -> dict[int, int]:
         return [(v, sums[1] // 2)]
 
     return dict(sorted(graph.per_root(sets, list(sets), kernel).collect()))
-
-
-def triangle_counts_per_vertex(graph: Graph) -> dict[int, int]:
-    """{vertex: triangles through it} in ascending vertex order; 0 for none."""
-    return _per_vertex(graph, graph.collect_adjacency())

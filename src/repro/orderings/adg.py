@@ -11,8 +11,7 @@ tests assert.
 
 Set-algebra view (5+): the per-round batch is R = {v ∈ U : deg_U(v) ≤
 (1+ε)δ̂_U}; U ← U ∖ R is a set difference; deg_U is a set cardinality.
-ADG is a threshold rule over the shared engine in ``peel.py``, which
-runs each round, batch and degree update, as one Spark job.
+ADG is a threshold rule over the shared peeling engine in ``peel.py``.
 """
 from __future__ import annotations
 

@@ -7,11 +7,9 @@ member has ≤ k ≤ d remaining neighbours, however the batch is ordered
 internally) and each vertex's removal level is exactly its core number.
 
 This is the Θ(n)-round-worst-case scheme the paper contrasts with ADG's
-O(log n) rounds; the round count is surfaced through a
-``WorkDepthRecorder`` so Tables 5/6 can be validated empirically.
-
-DGR is the threshold rule k ← max(k, min live degree) over the peeling
-engine of ``peel.py``, which runs each round as one Spark job.
+O(log n) rounds; a ``WorkDepthRecorder`` surfaces the round count for
+Tables 5/6. DGR is the threshold rule k ← max(k, min live degree) over
+the peeling engine of ``peel.py``.
 """
 from __future__ import annotations
 
@@ -49,13 +47,3 @@ def degeneracy_order(
     """(vertex, rank) degeneracy ordering — preprocessing-stage signature."""
     return core_decomposition(graph, recorder).select("vertex", "rank")
 
-
-def degeneracy(graph: Graph) -> int:
-    """The graph degeneracy d = max core number."""
-    row = core_decomposition(graph).agg(F.max("core")).first()
-    return int(row[0] or 0)
-
-
-def kcore(graph: Graph, k: int) -> DataFrame:
-    """Vertices of the k-core (max subgraph with all degrees ≥ k)."""
-    return core_decomposition(graph).where(F.col("core") >= k).select("vertex")

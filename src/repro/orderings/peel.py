@@ -7,13 +7,13 @@ the live degrees' (min, sum, count). As in Julienne's bucketed peeling
 (Dhulipala, Blelloch, Shun, SPAA'17), degrees are updated incrementally
 (N(v) ← N(v) ∖ B), never recomputed from the edge list.
 
-State is one checkpointed DataFrame of the live rows (vertex, nbrs). A
-round is one Spark job: it collects the (vertex, |N(v)|) pairs of the
-state, from which the driver takes the statistics, the threshold t and
-B = {v : |N(v)| ≤ t}. The next state keeps the rows with |N(v)| > t and
-drops B from their neighbourhoods with one array literal; the next
-round's job materialises it. Ranks follow (round, vertex), assigned on
-the driver.
+State is one checkpointed DataFrame of the live rows (vertex, nbrs). The
+driver takes each round's statistics, threshold t and B = {v : |N(v)| ≤ t}
+from the state's (vertex, |N(v)|) pairs: the first round's come from
+``Graph.collect_adjacency``, each later round's from one Spark job. The
+next state keeps the rows with |N(v)| > t and drops B from their
+neighbourhoods with one array literal. Ranks follow (round, vertex),
+assigned on the driver.
 
 The work proxy counts the elements the set differences read: Σ live
 |N(v)| + |B| per round.
@@ -28,6 +28,7 @@ from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
+from repro.orderings.degree import ranked
 
 
 def peel(
@@ -41,11 +42,9 @@ def peel(
     threshold; it must be ≥ the min, so that no batch is empty. The
     result is a local relation: reading it launches no Spark job.
     """
-    import pandas as pd  # BK and k-clique workers import this module
-
     rec = recorder or WorkDepthRecorder()
     state = graph.adjacency().select("vertex", "nbrs")
-    live = state.select("vertex", F.size("nbrs")).collect()
+    live = [(v, a.size) for v, a in graph.collect_adjacency().items()]
     order: list[int] = []  # removed vertices, batch by batch
     levels: list[float] = []
     while live:
@@ -64,8 +63,4 @@ def peel(
             F.array_except("nbrs", F.lit(np.asarray(batch, np.int64))).alias("nbrs"),
         ).localCheckpoint(eager=False)
         live = state.select("vertex", F.size("nbrs")).collect()
-    pdf = pd.DataFrame({"vertex": np.asarray(order, np.int64),
-                        "rank": np.arange(len(order), dtype=np.int64),
-                        "level": np.asarray(levels, np.float64)})
-    return graph.edges.sparkSession.createDataFrame(
-        pdf, "vertex long, rank long, level double")
+    return ranked(graph, order, levels)

@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 from repro.core.graph import Graph
 from repro.graphs import generators as gen
 from repro.graphs.reference import brute_maximal_cliques, ref_maximal_cliques
-from repro.mining.bron_kerbosch import bk_count, bk_maximal_cliques, resolve_order
+from repro.mining.bron_kerbosch import bk_maximal_cliques, resolve_order
 from repro.orderings.degeneracy import degeneracy_order
 from repro.orderings.degree import degree_order
 
@@ -115,7 +115,7 @@ def test_root_is_min_ranked_member(er_graph):
 
 def test_bk_count(planted_graph):
     pdf, g = planted_graph
-    assert bk_count(g, order="adg") == len(ref_maximal_cliques(pdf))
+    assert bk_maximal_cliques(g, order="adg").count() == len(ref_maximal_cliques(pdf))
 
 
 def test_unknown_order_rejected(er_graph):
@@ -138,14 +138,23 @@ def test_custom_order_dataframe(er_graph):
         _assert_rooted_at_min(rows, order)
 
 
-def test_warm_call_launches_at_most_three_jobs(er_graph, count_jobs):
-    """Collect the ranks, collect the adjacency, run the kernel: no orientation."""
+def test_warm_call_launches_at_most_two_jobs(er_graph, count_jobs):
+    """Collect the ranks, run the kernel: no orientation, no second collect."""
     pdf, g = er_graph
-    g.adjacency().count()
+    g.collect_adjacency()
     order = degeneracy_order(g).localCheckpoint(eager=True)
     rows, jobs = count_jobs(lambda: bk_maximal_cliques(g, order=order).collect())
     assert {frozenset(r["clique"]) for r in rows} == ref_maximal_cliques(pdf)
-    assert jobs <= 3
+    assert jobs <= 2
+
+
+def test_warm_call_by_name_launches_one_job(er_graph, count_jobs):
+    """DEG sorts the collected adjacency on the driver: only the kernel runs."""
+    pdf, g = er_graph
+    g.collect_adjacency()
+    rows, jobs = count_jobs(lambda: bk_maximal_cliques(g, order="deg").collect())
+    assert {frozenset(r["clique"]) for r in rows} == ref_maximal_cliques(pdf)
+    assert jobs <= 1
 
 
 def test_dense_block_single_clique(spark):

@@ -2,7 +2,6 @@
 import networkx as nx
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.graph import Graph, ranked_after
 from repro.graphs import generators as gen
@@ -43,9 +42,9 @@ def test_degrees_match_duckdb(spark, tri_graph):
     from repro.oracle import assert_equivalent
 
     pdf = tri_graph.edges.toPandas()
-    deg = tri_graph.degrees().select(
-        F.col("vertex").cast("long"), F.col("deg").cast("long")
-    )
+    deg = spark.createDataFrame(
+        [(v, a.size) for v, a in tri_graph.collect_adjacency().items()],
+        "vertex long, deg long")
     assert_equivalent(
         deg,
         """
@@ -88,10 +87,10 @@ def test_ranked_after_matches_oriented(spark, order):
     from repro.orderings.degree import degree_order
 
     g = Graph.from_pandas(spark, gen.erdos_renyi(40, 0.2, seed=14))
-    order_df = (degree_order(g) if order == "deg"
-                else g.degrees().select("vertex", F.lit(0).cast("long").alias("rank")))
-    rank = {r["vertex"]: r["rank"] for r in order_df.collect()}
     nbrs = g.collect_adjacency()
+    order_df = (degree_order(g) if order == "deg"
+                else spark.createDataFrame([(v, 0) for v in nbrs], "vertex long, rank long"))
+    rank = {r["vertex"]: r["rank"] for r in order_df.collect()}
     got = {v: s[ranked_after(rank, v, s)].tolist() for v, s in nbrs.items()}
     assert got == {r["vertex"]: r["out_nbrs"] for r in g.oriented(order_df).collect()}
 
@@ -141,14 +140,23 @@ def test_adjacency_has_one_partition_per_core(spark):
     assert parts <= spark.sparkContext.defaultParallelism
 
 
-def test_warm_stats_launches_at_most_three_jobs(spark, count_jobs):
-    """Collect the adjacency, run the per-vertex triangle kernel over it."""
+def test_warm_stats_launches_one_job(spark, count_jobs):
+    """The per-vertex triangle kernel over the adjacency collected before."""
     pdf = gen.erdos_renyi(120, 0.08, seed=13)
     g = Graph.from_pandas(spark, pdf)
-    g.adjacency().count()
+    g.collect_adjacency()
     s, jobs = count_jobs(g.stats)
     assert s["T"] == sum(nx.triangles(nx_graph(pdf)).values()) // 3
-    assert jobs <= 3
+    assert jobs <= 1
+
+
+def test_collect_adjacency_collects_once(spark, count_jobs):
+    """Later calls return the first call's dict and launch no job."""
+    g = Graph.from_pandas(spark, gen.erdos_renyi(60, 0.1, seed=3))
+    first = g.collect_adjacency()
+    again, jobs = count_jobs(g.collect_adjacency)
+    assert again is first
+    assert jobs == 0
 
 
 def test_stats_independent_of_shuffle_partitions(spark, at_1_and_64_partitions):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.graph import Graph
 from repro.graphs import generators as gen
-from repro.graphs.reference import ref_subgraph_iso_count
+from repro.graphs.reference import ref_maximal_cliques, ref_subgraph_iso_count
+from repro.mining.bron_kerbosch import bk_maximal_cliques
 from repro.mining.subgraph_iso import si_count
 
 
@@ -113,3 +114,24 @@ def test_independent_of_shuffle_partitions(spark, labeled_target, at_1_and_64_pa
     got = at_1_and_64_partitions(counts)
     assert got[0] == got[1]
     assert got[0][0] == got[0][1] == ref_subgraph_iso_count(edges, labels, qe, ql)
+
+
+def test_label_only_vertices_stay_out_of_the_shared_adjacency(spark):
+    """SI adds label-only (isolated) targets to its own copy of the adjacency.
+
+    The graph's ``collect_adjacency`` is shared by every later call on it:
+    had SI added the isolated vertices there, BK would list each as a
+    maximal clique of its own.
+    """
+    edges, labels = gen.labeled_erdos_renyi(40, 0.15, 2, seed=41)
+    isolated = pd.DataFrame({"vertex": [40, 41, 42], "label": [0, 0, 1]})
+    labels = pd.concat([labels, isolated], ignore_index=True)
+    g = Graph.from_pandas(spark, edges)
+    before = {v: a.tolist() for v, a in g.collect_adjacency().items()}
+    qe = pd.DataFrame({"src": pd.Series([], dtype="int64"),
+                       "dst": pd.Series([], dtype="int64")})
+    ql = pd.DataFrame({"vertex": [0], "label": [0]})
+    assert si_count(spark, g, labels, qe, ql) == int((labels["label"] == 0).sum())
+    assert {v: a.tolist() for v, a in g.collect_adjacency().items()} == before
+    cliques = {frozenset(r["clique"]) for r in bk_maximal_cliques(g).collect()}
+    assert cliques == ref_maximal_cliques(edges)

@@ -66,7 +66,7 @@ def test_triangle_count_matches_duckdb(spark):
 
 
 def test_warm_count_launches_at_most_four_jobs(spark, count_jobs):
-    """Degree order, collect ranks, collect the adjacency, run the kernel."""
+    """Collect the adjacency for the degree order, run the kernel."""
     pdf = gen.planted_cliques(3, 5, 60, 100, seed=4)
     g = Graph.from_pandas(spark, pdf)
     g.adjacency().count()
