@@ -1,4 +1,3 @@
-import itertools
 import os
 import sys
 
@@ -76,26 +75,12 @@ def spark() -> SparkSession:
     s.stop()
 
 
-_JOB_GROUPS = itertools.count()
-
-
 @pytest.fixture
 def count_jobs(spark):
     """``count_jobs(fn)`` -> (fn(), number of Spark jobs fn launched)."""
-    sc = spark.sparkContext
+    from repro.core import metrics
 
-    def run(fn):
-        group = f"count-jobs-{next(_JOB_GROUPS)}"
-        sc.setJobGroup(group, group)
-        try:
-            out = fn()
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        # Job-start events reach the status tracker asynchronously.
-        sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
-        return out, len(sc.statusTracker().getJobIdsForGroup(group))
-
-    return run
+    return lambda fn: metrics.count_jobs(spark.sparkContext, fn)
 
 
 @pytest.fixture

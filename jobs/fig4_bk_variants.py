@@ -51,8 +51,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
         for vname, kw in VARIANTS:
             res = run_timed(
                 vname,
-                preprocess=lambda kw=kw: resolve_order(
-                    g, kw["order"]).localCheckpoint(eager=True),
+                preprocess=lambda kw=kw: resolve_order(g, kw["order"]),
                 kernel=lambda order_df, kw=kw: bk_maximal_cliques(
                     g, order=order_df, set_repr=kw["set_repr"],
                     subgraph_opt=kw["subgraph_opt"]).collect(),

@@ -31,8 +31,7 @@ def run(spark: SparkSession, sf: float = 1.0, ks=(3, 4, 5)) -> list[dict]:
             for vname, order in ORDERS:
                 res = run_timed(
                     f"{vname} k={k}",
-                    preprocess=lambda order=order: resolve_order(
-                        g, order).localCheckpoint(eager=True),
+                    preprocess=lambda order=order: resolve_order(g, order),
                     kernel=lambda od, k=k: kclique_count(g, k, order=od),
                     count=lambda out: out,
                 )

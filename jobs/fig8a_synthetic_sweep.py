@@ -27,7 +27,7 @@ def run(spark: SparkSession, sf: float = 1.0,
             g.collect_adjacency()  # build representation outside the timings
             res = run_timed(
                 f"scale={scale} d={avg_deg}",
-                preprocess=lambda: degeneracy_order(g).localCheckpoint(eager=True),
+                preprocess=lambda: degeneracy_order(g),
                 kernel=lambda od: bk_maximal_cliques(
                     g, order=od, set_repr="bitmap").collect(),
             )

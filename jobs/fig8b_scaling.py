@@ -23,7 +23,7 @@ def run(spark: SparkSession, sf: float = 1.0,
     pdf = gen.barabasi_albert(int(1500 * sf) + 10, 6, seed=51)
     g = Graph.from_pandas(spark, pdf)
     g.collect_adjacency()  # build representation outside the timings
-    order_df = resolve_order(g, "adg").localCheckpoint(eager=True)
+    order_df = resolve_order(g, "adg")
     # work proxy: total subproblem set sizes (independent of parallelism)
     rows = []
     base_time = None

@@ -41,8 +41,7 @@ def run(spark: SparkSession, sf: float = 1.0, ks=(4, 5)) -> list[dict]:
                 rec = WorkDepthRecorder()
                 res = run_timed(
                     f"{sname} k={k}",
-                    preprocess=lambda kw=kw: resolve_order(
-                        g, kw["order"]).localCheckpoint(eager=True),
+                    preprocess=lambda kw=kw: resolve_order(g, kw["order"]),
                     kernel=lambda od, k=k, kw=kw, rec=rec: kclique_count(
                         g, k, order=od, strategy=kw["strategy"], recorder=rec),
                     count=lambda out: out,

@@ -32,7 +32,7 @@ def run(spark: SparkSession, sf: float = 1.0) -> list[dict]:
         s = g.stats()
         res = run_timed(
             gname,
-            preprocess=lambda: degeneracy_order(g).localCheckpoint(eager=True),
+            preprocess=lambda: degeneracy_order(g),
             kernel=lambda order: kclique_count(g, 4, order=order),
             count=lambda out: out,
         )

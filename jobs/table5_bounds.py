@@ -5,10 +5,11 @@ predictions are observable (paper §7, Lemma 7.1):
 
 * ADG depth: #rounds = O(log n) for fixed ε → measured rounds should
   grow ~linearly in log2(n) while exact peeling rounds grow faster;
-* ADG work: O(m) → the set elements the per-round degree updates read,
-  Σ over rounds of (Σ live |N(v)| + |batch|), stays within a constant
-  multiple of m+n (the benchmark gates it at 4·(m+n); a per-round
-  recomputation of every degree would read O(m·rounds));
+* ADG work: O(m) → the elements the per-round degree updates read,
+  Σ over rounds of (|live degrees| + Σ_{b ∈ batch} |N(b)|) = 2m + Σ|U_i|,
+  stays within a constant multiple of m+n (the benchmark gates it at
+  4·(m+n); a per-round recomputation of every degree would read
+  O(m·rounds));
 * approximation quality: max #later-ranked neighbours ≤ (2+2ε)·d.
 
 One row per graph size over an ER family with constant average degree.

@@ -16,7 +16,7 @@ run as per-root Python kernels, so they take N+(v) from ``ranked_after``
 on collected ranks; ``Graph.oriented`` is the same rule in Catalyst.
 
 ``collect_adjacency`` is the one driver-side form, collected at most once
-per ``Graph``: DEG and ID sort it, peeling reads its first round from it,
+per ``Graph``: DEG and ID sort it, DGR and ADG peel it on the driver,
 and ``per_root`` runs the BK, SI, k-clique and triangle kernels over a
 broadcast of it. All methods but it, ``per_root`` and ``stats`` return
 DataFrames.

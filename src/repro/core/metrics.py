@@ -7,12 +7,35 @@
   Fig. 1 / Fig. 11 plot.
 
 ``run_timed`` is the single harness every job uses so that numbers in
-EXPERIMENTS.md are produced the same way everywhere.
+EXPERIMENTS.md are produced the same way everywhere. Next to each
+stage's time it records the stage's Spark job count (``count_jobs``).
 """
 from __future__ import annotations
 
 import time
+import uuid
 from dataclasses import dataclass
+
+from pyspark import SparkContext
+from pyspark.sql import SparkSession
+
+
+def count_jobs(sc: SparkContext | None, fn):
+    """(fn(), number of Spark jobs fn launched), counted by a job group.
+
+    Without a SparkContext no job can run, so the count is 0.
+    """
+    if sc is None:
+        return fn(), 0
+    group = f"count-jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # Job-start events reach the status tracker asynchronously.
+    sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @dataclass
@@ -23,6 +46,8 @@ class RunResult:
     runtime_s: float
     pattern_count: int
     preprocess_s: float = 0.0
+    preprocess_jobs: int = 0
+    kernel_jobs: int = 0
 
     @property
     def total_s(self) -> float:
@@ -39,27 +64,35 @@ class RunResult:
             "preprocess_s": round(self.preprocess_s, 3),
             "kernel_s": round(self.runtime_s, 3),
             "total_s": round(self.total_s, 3),
+            "preprocess_jobs": self.preprocess_jobs,
+            "kernel_jobs": self.kernel_jobs,
             "patterns": self.pattern_count,
             "throughput_per_s": round(self.throughput, 1),
         }
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
 
 
 def run_timed(name: str, kernel, preprocess=None, count=len) -> RunResult:
     """Time ``preprocess()`` (optional) then ``kernel(prep_result)``.
 
     ``kernel`` must force its own Spark actions (return a materialised
-    result); ``count`` maps the kernel result to a pattern count.
+    result); ``count`` maps the kernel result to a pattern count. Each
+    stage's Spark jobs are counted on the active session's SparkContext.
     """
-    prep_out, prep_s = None, 0.0
+    session = SparkSession.getActiveSession()
+    sc = session.sparkContext if session is not None else None
+    prep_out, prep_s, prep_jobs = None, 0.0, 0
     if preprocess is not None:
-        t0 = time.perf_counter()
-        prep_out = preprocess()
-        prep_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out = kernel(prep_out) if preprocess is not None else kernel()
-    runtime = time.perf_counter() - t0
+        (prep_out, prep_s), prep_jobs = count_jobs(sc, lambda: _timed(preprocess))
+    run = (lambda: kernel(prep_out)) if preprocess is not None else kernel
+    (out, runtime), jobs = count_jobs(sc, lambda: _timed(run))
     return RunResult(name=name, runtime_s=runtime, pattern_count=count(out),
-                     preprocess_s=prep_s)
+                     preprocess_s=prep_s, preprocess_jobs=prep_jobs, kernel_jobs=jobs)
 
 
 def print_table(title: str, rows: list[dict]) -> str:

@@ -7,8 +7,9 @@ Three implementations mirror the paper's SortedSet / RoaringSet / HashSet:
 ``BitmapSet`` (one Python int as a bitset, bulk bitwise ops and
 ``int.bit_count()`` — the roaring-bitmap analog), ``HashSet`` (Python
 frozenset — Robin-Hood-hashtable analog). They share one interface so a
-kernel is parameterised by the class alone. Only the peeling orderings
-keep set operations in Catalyst (``orderings/peel.py``).
+kernel is parameterised by the class alone. No set operation runs in
+Catalyst; the peeling orderings update degrees with numpy on the driver
+(``orderings/peel.py``).
 """
 from __future__ import annotations
 

@@ -4,19 +4,16 @@ Both orderings repeat one step: remove, in one parallel batch B, every
 live vertex whose degree in the live induced subgraph is at most a
 threshold. They differ only in the threshold, which a rule computes from
 the live degrees' (min, sum, count). As in Julienne's bucketed peeling
-(Dhulipala, Blelloch, Shun, SPAA'17), degrees are updated incrementally
-(N(v) ← N(v) ∖ B), never recomputed from the edge list.
+(Dhulipala, Blelloch, Shun, SPAA'17), degrees are updated incrementally:
+a round subtracts, from each vertex, its number of neighbours in B, and
+touches nothing else.
 
-State is one checkpointed DataFrame of the live rows (vertex, nbrs). The
-driver takes each round's statistics, threshold t and B = {v : |N(v)| ≤ t}
-from the state's (vertex, |N(v)|) pairs: the first round's come from
-``Graph.collect_adjacency``, each later round's from one Spark job. The
-next state keeps the rows with |N(v)| > t and drops B from their
-neighbourhoods with one array literal. Ranks follow (round, vertex),
-assigned on the driver.
+The engine runs on the driver over ``Graph.collect_adjacency``, held as
+CSR arrays (ascending vertex IDs, ``indptr``, neighbour positions), so
+no round launches a Spark job. Ranks follow (round, vertex).
 
-The work proxy counts the elements the set differences read: Σ live
-|N(v)| + |B| per round.
+The work proxy counts what a round reads: the |U| live degrees and the
+Σ_{b∈B} |N(b)| neighbour entries of the batch, 2m + Σ_i |U_i| per run.
 """
 from __future__ import annotations
 
@@ -24,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.graph import Graph
 from repro.core.work_depth import WorkDepthRecorder
@@ -43,24 +39,27 @@ def peel(
     result is a local relation: reading it launches no Spark job.
     """
     rec = recorder or WorkDepthRecorder()
-    state = graph.adjacency().select("vertex", "nbrs")
-    live = [(v, a.size) for v, a in graph.collect_adjacency().items()]
+    adj = graph.collect_adjacency()
+    ids = np.fromiter(adj, np.int64, len(adj))  # ascending
+    deg = np.fromiter((a.size for a in adj.values()), np.int64, len(adj))
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    nbr_pos = np.searchsorted(ids, np.concatenate([np.empty(0, np.int64), *adj.values()]))
+    live = np.arange(ids.size)  # positions, so batches stay in vertex order
     order: list[int] = []  # removed vertices, batch by batch
     levels: list[float] = []
-    while live:
-        degs = [d for _, d in live]
-        s = sum(degs)
-        t = rule(min(degs), s, len(degs))
-        batch = sorted(v for v, d in live if d <= t)
+    while live.size:
+        d = deg[live]
+        t = rule(int(d.min()), int(d.sum()), live.size)
+        in_batch = d <= t
+        batch = live[in_batch]
+        # The batch's neighbour entries, read as one gather over their CSR rows.
+        sizes = indptr[batch + 1] - indptr[batch]
+        starts = np.repeat(indptr[batch] - (np.cumsum(sizes) - sizes), sizes)
+        reads = nbr_pos[starts + np.arange(sizes.sum())]
+        np.subtract.at(deg, reads, 1)
         rec.round()
-        rec.touch(s + len(batch))
-        order += batch
-        levels += [float(t)] * len(batch)
-        if len(batch) == len(live):
-            break
-        state = state.where(F.size("nbrs") > t).select(
-            "vertex",
-            F.array_except("nbrs", F.lit(np.asarray(batch, np.int64))).alias("nbrs"),
-        ).localCheckpoint(eager=False)
-        live = state.select("vertex", F.size("nbrs")).collect()
+        rec.touch(live.size + reads.size)
+        order += ids[batch].tolist()
+        levels += [float(t)] * batch.size
+        live = live[~in_batch]
     return ranked(graph, order, levels)

@@ -156,3 +156,12 @@ def test_warm_call_launches_at_most_two_jobs(planted_graph, count_jobs):
     n, jobs = count_jobs(lambda: kclique_count(g, 4, order=order))
     assert n == ref_kclique_count(pdf, 4)
     assert jobs <= 2
+
+
+def test_warm_call_by_name_launches_at_most_one_job(planted_graph, count_jobs):
+    """DGR peels on the driver, so only the kernel's job runs."""
+    pdf, g = planted_graph
+    g.collect_adjacency()
+    n, jobs = count_jobs(lambda: kclique_count(g, 4, order="dgr"))
+    assert n == ref_kclique_count(pdf, 4)
+    assert jobs <= 1

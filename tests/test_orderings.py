@@ -164,11 +164,11 @@ def test_adg_fewer_rounds_than_exact_peeling(spark):
 
 
 def test_adg_work_proxy_linear(spark):
-    """ADG's set differences read O(m+n) elements in total (Lemma 7.1).
+    """ADG's degree updates read O(m+n) elements in total (Lemma 7.1).
 
-    Each round reads every live neighbourhood plus the batch. The first
-    round alone reads 2m and the batches sum to n; recomputing every
-    degree each round would read O(m·rounds).
+    Each round reads the live degrees and the batch's neighbourhoods. The
+    batches' neighbourhoods sum to 2m and the first round's live degrees
+    to n; recomputing every degree each round would read O(m·rounds).
     """
     pdf = gen.erdos_renyi(100, 0.06, seed=10)
     g = Graph.from_pandas(spark, pdf)
@@ -200,15 +200,31 @@ def test_path_core_numbers(spark):
 
 # ---------------- the shared peeling engine --------------------------------
 
-def test_peel_launches_one_job_per_round(spark, count_jobs):
-    """The first round reads the collected adjacency; each later one is a job."""
+def test_peel_launches_no_job(spark, count_jobs):
+    """Every round runs on the driver's collected adjacency."""
     g = Graph.from_pandas(spark, gen.barabasi_albert(120, 5, seed=1))
     g.collect_adjacency()  # the representation, built before the ordering
     for order in (degeneracy_order, adg_order):
         rec = WorkDepthRecorder()
         _, jobs = count_jobs(lambda: order(g, recorder=rec))
         assert rec.iterations > 1
-        assert jobs <= rec.iterations - 1, order.__name__
+        assert jobs == 0, order.__name__
+
+
+def test_peel_rounds_and_work_on_triangle_with_pendant(spark):
+    """DGR on a triangle {0, 1, 2} plus the pendant edge 0-3, counted by hand.
+
+    Round 1 reads the 4 live degrees, removes B = {3} (core 1) and reads
+    N(3) = {0}. Round 2 reads the 3 live degrees, all 2, removes B =
+    {0, 1, 2} (core 2) and reads their 3 + 2 + 2 neighbour entries. In
+    all: 2m + Σ|U_i| = 8 + 7 = 15 elements.
+    """
+    pdf = pd.DataFrame({"src": [0, 0, 1, 0], "dst": [1, 2, 2, 3]})
+    rec = WorkDepthRecorder()
+    rows = core_decomposition(Graph.from_pandas(spark, pdf), rec).collect()
+    assert [(r["vertex"], r["rank"], r["core"]) for r in sorted(rows, key=lambda r: r["rank"])
+            ] == [(3, 0, 1), (0, 1, 2), (1, 2, 2), (2, 3, 2)]
+    assert (rec.iterations, rec.set_elements_touched) == (2, 15)
 
 
 def test_collecting_an_order_launches_no_job(spark, count_jobs):

@@ -10,6 +10,7 @@ from repro.core.metrics import RunResult, print_table, run_timed
 from repro.core.sets import SET_REPRS
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
+from repro.orderings.adg import adg_order
 from repro.reprs.layouts import compression_sizes, representation_sizes
 
 
@@ -111,6 +112,16 @@ def test_run_timed_with_preprocess():
     )
     assert r.pattern_count == 10
     assert r.total_s == r.runtime_s + r.preprocess_s
+
+
+def test_run_timed_counts_jobs_per_stage(rep_graph):
+    """Peeling the collected adjacency launches no job; counting edges does."""
+    g, _ = rep_graph
+    r = run_timed("j", preprocess=lambda: adg_order(g),
+                  kernel=lambda order: g.edges.count(), count=lambda m: m)
+    assert r.pattern_count == g.num_edges()
+    assert (r.preprocess_jobs, r.row()["preprocess_jobs"]) == (0, 0)
+    assert r.kernel_jobs == r.row()["kernel_jobs"] >= 1
 
 
 def test_throughput_definition():
