@@ -19,20 +19,29 @@ from dataclasses import dataclass
 from pyspark import SparkContext
 from pyspark.sql import SparkSession
 
+# The thread-local properties ``SparkContext.setJobGroup`` sets.
+_JOB_GROUP_PROPERTIES = ("spark.jobGroup.id", "spark.job.description",
+                         "spark.job.interruptOnCancel")
+
 
 def count_jobs(sc: SparkContext | None, fn):
     """(fn(), number of Spark jobs fn launched), counted by a job group.
 
-    Without a SparkContext no job can run, so the count is 0.
+    Without a SparkContext no job can run, so the count is 0. The
+    thread's job-group properties are restored afterwards, so later jobs
+    carry no stale group or description and an enclosing count still
+    sees its own group.
     """
     if sc is None:
         return fn(), 0
+    saved = {k: sc.getLocalProperty(k) for k in _JOB_GROUP_PROPERTIES}
     group = f"count-jobs-{uuid.uuid4().hex}"
     sc.setJobGroup(group, group)
     try:
         out = fn()
     finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
+        for k, v in saved.items():
+            sc.setLocalProperty(k, v)
     # Job-start events reach the status tracker asynchronously.
     sc._jsc.sc().listenerBus().waitUntilEmpty(10_000)
     return out, len(sc.statusTracker().getJobIdsForGroup(group))

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.graph import Graph
-from repro.core.metrics import RunResult, print_table, run_timed
+from repro.core.metrics import RunResult, count_jobs, print_table, run_timed
 from repro.core.sets import SET_REPRS
 from repro.core.work_depth import WorkDepthRecorder
 from repro.graphs import generators as gen
@@ -122,6 +122,23 @@ def test_run_timed_counts_jobs_per_stage(rep_graph):
     assert r.pattern_count == g.num_edges()
     assert (r.preprocess_jobs, r.row()["preprocess_jobs"]) == (0, 0)
     assert r.kernel_jobs == r.row()["kernel_jobs"] >= 1
+
+
+def test_count_jobs_restores_the_job_group(rep_graph):
+    """A count leaves no stale group or description, and nests inside another."""
+    g, _ = rep_graph
+    sc = g.edges.sparkSession.sparkContext
+    props = ("spark.jobGroup.id", "spark.job.description")
+    before = [sc.getLocalProperty(k) for k in props]
+
+    def inner_then_count():
+        _, inner = count_jobs(sc, g.edges.count)
+        g.edges.count()  # after the inner count: in the outer group again
+        return inner
+
+    inner, outer = count_jobs(sc, inner_then_count)
+    assert inner >= 1 and outer >= 1
+    assert [sc.getLocalProperty(k) for k in props] == before
 
 
 def test_throughput_definition():
